@@ -70,9 +70,9 @@ class RunConfig:
 
 def _resolve_config(args) -> RunConfig:
     params, grid, mc = load_config(args.config)
-    if getattr(args, "steps", None):
+    if getattr(args, "steps", None) is not None:
         grid = make_grid(params.t_end, args.steps)
-    n_paths = args.paths if getattr(args, "paths", None) else mc.n_paths
+    n_paths = args.paths if getattr(args, "paths", None) is not None else mc.n_paths
     seed = args.seed if getattr(args, "seed", None) is not None else mc.seed
     return RunConfig(
         params=params,
@@ -233,10 +233,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     reports.append(verify_oracles.report_kernel(p))
     if suite == "all":
         reports += verify_oracles.mc_value_check(
-            p, cfg.grid, cfg.mc.n_paths, cfg.mc.seed, UNINFORMED
-        )
-        reports += verify_oracles.mc_value_check(
-            p, cfg.grid, cfg.mc.n_paths, cfg.mc.seed, INFORMED_FROM_START
+            p, cfg.grid, cfg.mc.n_paths, cfg.mc.seed, (UNINFORMED, INFORMED_FROM_START)
         )
         reports.append(
             verify_oracles.report_indifference(p, cfg.grid, cfg.mc.n_paths, cfg.mc.seed)

@@ -70,14 +70,6 @@ def _em1_over(x):
     return np.where(x == 0.0, 2.0, out)
 
 
-def _sinh_cosh_over_cosh(a_arg, b_arg):
-    """sinh(A)cosh(B)/cosh(A+B) = (1-e^{-2A})(1+e^{-2B}) / (2(1+e^{-2(A+B)}))."""
-    ea = -np.expm1(-2.0 * np.asarray(a_arg, dtype=float))
-    eb = 1.0 + np.exp(-2.0 * np.asarray(b_arg, dtype=float))
-    ec = 1.0 + np.exp(-2.0 * (np.asarray(a_arg) + np.asarray(b_arg)))
-    return ea * eb / (2.0 * ec)
-
-
 def _sinh_sinh_over_cosh(a_arg, b_arg):
     """sinh(A)sinh(B)/cosh(A+B) = (1-e^{-2A})(1-e^{-2B}) / (2(1+e^{-2(A+B)}))."""
     ea = -np.expm1(-2.0 * np.asarray(a_arg, dtype=float))

@@ -107,10 +107,6 @@ class InformationMode:
 
     subscribe_time: float | None = None
 
-    @property
-    def ever_informed(self) -> bool:
-        return self.subscribe_time is not None
-
     def is_informed_at(self, time: float) -> bool:
         return self.subscribe_time is not None and time >= self.subscribe_time
 
@@ -224,11 +220,6 @@ def load_config(path: str) -> tuple[ModelParams, TimeGrid, McSettings]:
         return parse_config(fh.read())
 
 
-def with_steps(grid: TimeGrid, n_steps: int) -> TimeGrid:
-    """New grid over the same horizon with a different step count."""
-    return make_grid(grid.t_end, n_steps)
-
-
 __all__ = [
     "DomainError",
     "ModelParams",
@@ -240,7 +231,6 @@ __all__ = [
     "subscribe_at",
     "validate",
     "make_grid",
-    "with_steps",
     "parse_config",
     "load_config",
 ]

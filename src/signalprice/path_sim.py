@@ -7,17 +7,19 @@ lookahead):
     S[k+1] = S[k] + (mu + Y[k]) dt + sigma_z * dB^Z_k
     X[k+1] = X[k] + phi_k (mu + Y[k]) dt + sigma_z phi_k dB^Z_k - charges
 
-Randomness is counter-based: path ``i`` of a run with seed ``s`` draws from a
-Philox stream keyed by (s, i), so every path is a pure function of
-(seed, index) regardless of worker count, chunking, or evaluation order.
+Randomness is counter-based: path ``i`` of a run with seed ``s`` (an integer
+in [0, 2**64)) draws from a Philox stream keyed by (s, i), so every path is a
+pure function of (seed, index) regardless of chunk size or evaluation order.
 Antithetic mode derives paths 2j and 2j+1 from the same keyed draw with
 opposite signs.
 
 Internals hold path chunks time-major (step axis first) so the per-step
-recursions touch contiguous memory; the same kernels serve the one-path
-``PathBundle`` API and the chunked Monte-Carlo engine, so the two agree bit
-for bit.  ``mc_multi`` evaluates several (mode, charge) arms on one shared
-set of paths: common random numbers for indifference comparisons.
+recursions touch contiguous memory.  The one-path ``PathBundle`` API and the
+chunked Monte-Carlo engine share one draw routine
+(``_SubstreamDrawer.increments``) and the same integration kernels, so the
+two agree bit for bit.  ``mc_multi`` evaluates several (mode, charge) arms on
+one shared set of paths: common random numbers for indifference comparisons.
+``mean_std_err`` is the one standard-error rule, pairing antithetic values.
 """
 
 from __future__ import annotations
@@ -37,29 +39,24 @@ from .model_core import (
     TimeGrid,
     UNINFORMED,
 )
-from .subscription_timing import RateSchedule, ScheduleDomainError
+from .subscription_timing import RateSchedule
 
 # position hook signature: (t_k, y_k, y_hat_k | None, informed) -> positions
 Policy = Callable[[float, np.ndarray, np.ndarray | None, bool], np.ndarray]
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one path: Philox keyed by (seed, index)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 class _SubstreamDrawer:
-    """Draws from per-path Philox substreams without rebuilding generators.
+    """Draws from per-path Philox substreams keyed by (seed, index).
 
-    Re-keying a single Philox in place yields exactly the draws a fresh
-    ``_substream(seed, index)`` generator would produce (the key is the whole
-    stream identity; counter and buffer are reset between paths).
+    One Philox is re-keyed in place per path (counter and buffer reset), which
+    yields exactly the draws of a fresh generator with that key, without
+    building one per path.
     """
 
     def __init__(self, seed: int):
-        self._bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0],
-                                                     dtype=np.uint64))
+        if not 0 <= seed < 2**64:
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        self._bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
         self._state = self._bitgen.state
 
@@ -73,20 +70,30 @@ class _SubstreamDrawer:
         self._bitgen.state = st
         return self._gen.standard_normal(shape)
 
+    def increments(self, start: int, m: int, n_steps: int, dt: float, antithetic: bool = False):
+        """Time-major (dB^Y, dB^Z), each (n_steps, m) with variance dt, for paths
+        ``start .. start + m - 1``.
 
-def _draw_increments(seed: int, index: int, n_steps: int, dt: float):
-    """(dB^Y, dB^Z) increment arrays for one path, each with variance dt."""
-    z = _substream(seed, index).standard_normal((2, n_steps))
-    sqdt = math.sqrt(dt)
-    return sqdt * z[0], sqdt * z[1]
+        Antithetic paths 2j and 2j+1 take keyed draw j with opposite signs, so
+        ``start`` and ``m`` must be even.
+        """
+        keys = range(start // 2, (start + m) // 2) if antithetic else range(start, start + m)
+        z = np.empty((len(keys), 2, n_steps))
+        for j, index in enumerate(keys):
+            z[j] = self.normals(index, (2, n_steps))
+        sqdt = math.sqrt(dt)
+        by = sqdt * z[:, 0, :].T  # column j bit-equal to a one-path draw of key j
+        bz = sqdt * z[:, 1, :].T
+        if antithetic:
+            by, bz = (np.stack([h, -h], axis=2).reshape(n_steps, m) for h in (by, bz))
+        return by, bz
 
 
 @dataclass
 class PathBundle:
     """One simulated scenario.
 
-    ``y_hat`` is filled lazily (first call to ``filtered_signal``); ``x`` is
-    left to callers that want to attach the wealth path of a specific mode.
+    ``y_hat`` is filled lazily (first call to ``filtered_signal``).
     Increments have variance dt and are reproducible from (seed, index).
     """
 
@@ -96,7 +103,6 @@ class PathBundle:
     y: np.ndarray
     s: np.ndarray
     y_hat: np.ndarray | None = None
-    x: np.ndarray | None = None
 
 
 def filtered_signal(p: ModelParams, grid: TimeGrid, bundle: PathBundle) -> np.ndarray:
@@ -124,8 +130,9 @@ def simulate_paths(
     p: ModelParams, grid: TimeGrid, n_paths: int, seed: int
 ) -> Iterator[PathBundle]:
     """Yield ``n_paths`` independent scenarios, one per (seed, index) substream."""
+    drawer = _SubstreamDrawer(seed)
     for index in range(n_paths):
-        by, bz = _draw_increments(seed, index, grid.n_steps, grid.dt)
+        by, bz = (b[:, 0] for b in drawer.increments(index, 1, grid.n_steps, grid.dt))
         y, s = _integrate_signal_price(p, grid.t, by, bz)
         yield PathBundle(t=grid.t, by_incr=by, bz_incr=bz, y=y, s=s)
 
@@ -147,12 +154,7 @@ def _resolve_charges(
     sched_rates = None
     if isinstance(charge, RateSchedule):
         if k_star is not None:
-            t_star = grid.t[k_star]
-            if charge.knots[0] > t_star or charge.knots[-1] < grid.t_end:
-                raise ScheduleDomainError(
-                    f"schedule domain [{charge.knots[0]!r}, {charge.knots[-1]!r}] "
-                    f"does not cover [{t_star!r}, {grid.t_end!r}]"
-                )
+            charge.require_cover(grid.t[k_star], grid.t_end)
             sched_rates = charge(grid.t[:-1])
     else:
         lump = float(charge)
@@ -241,6 +243,17 @@ def run_strategy(
     return x
 
 
+def mean_std_err(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
+    """Sample mean and its standard error over paths (axis 0).
+
+    Antithetic values (paths 2j, 2j+1 mirrored) are averaged in pairs first,
+    and the standard error is that of the independent pair means.
+    """
+    samples = values.reshape(-1, 2).mean(axis=1) if antithetic else values
+    se = np.std(samples, ddof=1) / math.sqrt(samples.shape[0])
+    return float(np.mean(values)), float(se)
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """Monte-Carlo mean with its standard error.
@@ -266,14 +279,8 @@ class McRun:
     snapshots: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
 
     def estimate(self) -> McEstimate:
-        u = self.utilities
-        n = u.shape[0]
-        if self.antithetic:
-            pair_means = u.reshape(-1, 2).mean(axis=1)
-            se = float(np.std(pair_means, ddof=1) / math.sqrt(pair_means.shape[0]))
-        else:
-            se = float(np.std(u, ddof=1) / math.sqrt(n))
-        return McEstimate(float(np.mean(u)), se, n, self.n_saturated)
+        mean, se = mean_std_err(self.utilities, self.antithetic)
+        return McEstimate(mean, se, self.utilities.shape[0], self.n_saturated)
 
 
 @dataclass(frozen=True)
@@ -329,34 +336,13 @@ def mc_multi(
         )
         for _ in arms
     ]
-    sqdt = math.sqrt(grid.dt)
-    n = grid.n_steps
     if antithetic:
         chunk_size += chunk_size % 2
 
     drawer = _SubstreamDrawer(seed)
-    start = 0
-    while start < n_paths:
+    for start in range(0, n_paths, chunk_size):
         m = min(chunk_size, n_paths - start)
-        if antithetic:
-            pairs = m // 2
-            z = np.empty((pairs, 2, n))
-            for j in range(pairs):
-                z[j] = drawer.normals((start + 2 * j) // 2, (2, n))
-            half_by = sqdt * z[:, 0, :].T  # (n, pairs), bit-equal per column
-            half_bz = sqdt * z[:, 1, :].T
-            by = np.empty((n, m))
-            bz = np.empty((n, m))
-            by[:, 0::2] = half_by
-            by[:, 1::2] = -half_by
-            bz[:, 0::2] = half_bz
-            bz[:, 1::2] = -half_bz
-        else:
-            z = np.empty((m, 2, n))
-            for i in range(m):
-                z[i] = drawer.normals(start + i, (2, n))
-            by = sqdt * z[:, 0, :].T
-            bz = sqdt * z[:, 1, :].T
+        by, bz = drawer.increments(start, m, grid.n_steps, grid.dt, antithetic)
         y, s = _integrate_signal_price(p, grid.t, by, bz)
         y_hat = signal_filter._filter_prices(p, grid.t, s)[0] if needs_filter else None
         for run, arm, (k_star, lump, sched_rates) in zip(runs, arms, resolved):
@@ -372,7 +358,6 @@ def mc_multi(
                 run.snapshots[k]["y"][start : start + m] = y[k]
                 if needs_filter:
                     run.snapshots[k]["y_hat"][start : start + m] = y_hat[k]
-        start += m
     return runs
 
 
@@ -428,6 +413,7 @@ __all__ = [
     "McEstimate",
     "McRun",
     "Arm",
+    "mean_std_err",
     "simulate_paths",
     "filtered_signal",
     "run_strategy",

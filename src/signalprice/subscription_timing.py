@@ -77,11 +77,8 @@ class RateSchedule:
         """Rate at time t (linear between knots; clamped outside the domain)."""
         return np.interp(t, self.knots, self.values)
 
-    def covers(self, t0: float, t1: float) -> bool:
-        return self.knots[0] <= t0 and self.knots[-1] >= t1
-
     def require_cover(self, t0: float, t1: float) -> None:
-        if not self.covers(t0, t1):
+        if not (self.knots[0] <= t0 and self.knots[-1] >= t1):
             raise ScheduleDomainError(
                 f"schedule domain [{self.knots[0]!r}, {self.knots[-1]!r}] "
                 f"does not cover [{t0!r}, {t1!r}]"

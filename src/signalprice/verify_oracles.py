@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import mpmath
 import numpy as np
@@ -240,74 +240,70 @@ def ode_oracle(p: ModelParams, grid: TimeGrid) -> dict[str, float]:
 _MARTINGALE_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 
-def _mean_se(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
-    if antithetic:
-        pair_means = values.reshape(-1, 2).mean(axis=1)
-        return float(np.mean(values)), float(
-            np.std(pair_means, ddof=1) / math.sqrt(pair_means.shape[0])
-        )
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.shape[0]))
-
-
 def mc_value_check(
     p: ModelParams,
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    mode: InformationMode,
+    modes: Sequence[InformationMode],
     antithetic: bool = False,
     policy=None,
     reference: float | None = None,
 ) -> list[OracleReport]:
     """Monte-Carlo expected utility vs the closed-form value at t = 0.
 
+    Every mode is one arm of a single ``mc_multi`` call, so all modes share
+    the same seeded paths; the reports come in the order of ``modes``.
     Tolerance is 3 standard errors.  Also checks that the ensemble mean of
     the matching value function along optimal paths stays at its t = 0 value
     across the horizon quartiles (3 standard errors per time), as a true
-    martingale must.  ``reference`` overrides the closed form (used with the
-    ``policy`` test hook, where no closed form applies).
+    martingale must.  ``reference`` overrides the closed form of every mode
+    (used with the ``policy`` test hook, where no closed form applies).
     """
     validate(p)
-    if mode == INFORMED_FROM_START:
-        label = "informed"
-        closed0 = float(closed_form.value_informed(p, 0.0, p.x0, p.y0, 0.0))
-        value_at = lambda t, snap: closed_form.value_informed(p, t, snap["x"], snap["y"], 0.0)
-    elif mode == UNINFORMED:
-        label = "uninformed"
-        closed0 = float(closed_form.value_uninformed(p, 0.0, p.x0, p.y0))
-        value_at = lambda t, snap: closed_form.value_uninformed(p, t, snap["x"], snap["y_hat"])
-    else:
+    if any(mode not in (UNINFORMED, INFORMED_FROM_START) for mode in modes):
         raise DomainError("mc_value_check supports the uninformed and informed-from-start modes")
-    if reference is not None:
-        closed0 = float(reference)
 
     check_times = tuple(f * grid.t_end for f in _MARTINGALE_FRACTIONS)
-    run = path_sim.mc_run(
-        p, grid, n_paths, seed, mode=mode, charge=0.0, antithetic=antithetic,
-        policy=policy, snapshot_times=() if policy is not None else check_times,
+    runs = path_sim.mc_multi(
+        p, grid, n_paths, seed, [path_sim.Arm(mode, 0.0, policy) for mode in modes],
+        antithetic=antithetic, snapshot_times=() if policy is not None else check_times,
     )
-    est = run.estimate()
-    detail = (
-        f"terminal MC utility vs closed form at t=0 ({label}); tolerance = 3 std errs "
-        f"(abs {3.0 * est.std_err:.3e}), n_paths={n_paths}, seed={seed}, "
-        f"n_saturated={est.n_saturated}"
-    )
-    reports = [_report(f"mc_value_{label}", est.mean, closed0, 3.0 * est.std_err, detail)]
-    if policy is not None:
-        return reports
+    reports = []
+    for mode, run in zip(modes, runs):
+        if mode == INFORMED_FROM_START:
+            label = "informed"
+            closed0 = float(closed_form.value_informed(p, 0.0, p.x0, p.y0, 0.0))
+            value_at = lambda t, snap: closed_form.value_informed(p, t, snap["x"], snap["y"], 0.0)
+        else:
+            label = "uninformed"
+            closed0 = float(closed_form.value_uninformed(p, 0.0, p.x0, p.y0))
+            value_at = lambda t, snap: closed_form.value_uninformed(p, t, snap["x"], snap["y_hat"])
+        if reference is not None:
+            closed0 = float(reference)
 
-    z_scores = []
-    for t_check in check_times:
-        idx = grid.index_of(t_check)
-        snap = run.snapshots[idx]
-        mean, se = _mean_se(np.asarray(value_at(grid.t[idx], snap)), antithetic)
-        z_scores.append((grid.t[idx], (mean - closed0) / se if se > 0 else 0.0))
-    worst = max(abs(z) for _, z in z_scores)
-    detail = (
-        f"max |z| of mean value-function drift from t=0 over quartiles ({label}); "
-        + ", ".join(f"t={t:g}: z={z:+.2f}" for t, z in z_scores)
-    )
-    reports.append(_report(f"mc_martingale_{label}", worst, 0.0, 3.0, detail))
+        est = run.estimate()
+        detail = (
+            f"terminal MC utility vs closed form at t=0 ({label}); tolerance = 3 std errs "
+            f"(abs {3.0 * est.std_err:.3e}), n_paths={n_paths}, seed={seed}, "
+            f"n_saturated={est.n_saturated}"
+        )
+        reports.append(_report(f"mc_value_{label}", est.mean, closed0, 3.0 * est.std_err, detail))
+        if policy is not None:
+            continue
+
+        z_scores = []
+        for t_check in check_times:
+            idx = grid.index_of(t_check)
+            values = np.asarray(value_at(grid.t[idx], run.snapshots[idx]))
+            mean, se = path_sim.mean_std_err(values, antithetic)
+            z_scores.append((grid.t[idx], (mean - closed0) / se if se > 0 else 0.0))
+        worst = max(abs(z) for _, z in z_scores)
+        detail = (
+            f"max |z| of mean value-function drift from t=0 over quartiles ({label}); "
+            + ", ".join(f"t={t:g}: z={z:+.2f}" for t, z in z_scores)
+        )
+        reports.append(_report(f"mc_martingale_{label}", worst, 0.0, 3.0, detail))
     return reports
 
 
@@ -320,19 +316,21 @@ def indifference_bisection(
 ) -> tuple[float, float]:
     """Charge equating informed and uninformed MC utilities, plus half-width.
 
-    Both branches reuse the same seeded paths (common random numbers); the
-    charge only rescales the informed branch by exp(gamma C), so the
-    bisection runs on stored per-path utilities.  The half-width is one
-    paired delta-method standard error of the implied charge; comparisons
-    elsewhere use the usual 3-standard-error band.
+    Both branches are arms of one ``mc_multi`` call on the same seeded paths
+    (common random numbers); the charge only rescales the informed branch by
+    exp(gamma C), so the bisection runs on stored per-path utilities.  The
+    half-width is one paired delta-method standard error of the implied
+    charge; comparisons elsewhere use the usual 3-standard-error band.
     """
     validate(p)
-    informed = path_sim.mc_run(
-        p, grid, n_paths, seed, mode=INFORMED_FROM_START, antithetic=antithetic
-    ).utilities
-    uninformed = path_sim.mc_run(
-        p, grid, n_paths, seed, mode=UNINFORMED, antithetic=antithetic
-    ).utilities
+    informed, uninformed = (
+        run.utilities
+        for run in path_sim.mc_multi(
+            p, grid, n_paths, seed,
+            [path_sim.Arm(INFORMED_FROM_START), path_sim.Arm(UNINFORMED)],
+            antithetic=antithetic,
+        )
+    )
     u_bar = float(np.mean(informed))
     v_bar = float(np.mean(uninformed))
 
@@ -359,7 +357,7 @@ def indifference_bisection(
         c_star = 0.5 * (lo + hi)
 
     influence = (uninformed / v_bar - informed / u_bar) / p.gamma
-    _, se = _mean_se(influence, antithetic)
+    _, se = path_sim.mean_std_err(influence, antithetic)
     return float(c_star), se
 
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -42,12 +40,6 @@ def assert_close(actual, expected, rel=1e-12, abs_=0.0, msg=""):
 
 def batch_paths(p, grid, n_paths, seed):
     """Time-major (n+1, m) signal and price ensembles from per-path substreams."""
-    n = grid.n_steps
-    sqdt = math.sqrt(grid.dt)
     drawer = _path_sim._SubstreamDrawer(seed)
-    z = np.empty((n_paths, 2, n))
-    for i in range(n_paths):
-        z[i] = drawer.normals(i, (2, n))
-    by = sqdt * z[:, 0, :].T
-    bz = sqdt * z[:, 1, :].T
+    by, bz = drawer.increments(0, n_paths, grid.n_steps, grid.dt)
     return _path_sim._integrate_signal_price(p, grid.t, by, bz)

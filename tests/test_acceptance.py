@@ -129,7 +129,7 @@ def test_criterion_06_martingale_checks(params, grid):
     with Stopwatch() as clock:
         oks, details = [], []
         for mode, label in ((INFORMED_FROM_START, "informed"), (UNINFORMED, "uninformed")):
-            reports = vo.mc_value_check(params, grid, 100_000, SEED, mode)
+            reports = vo.mc_value_check(params, grid, 100_000, SEED, (mode,))
             martingale = next(r for r in reports if r.name.startswith("mc_martingale"))
             oks.append(martingale.passed)
             details.append(f"{label} max|z|={martingale.observed:.2f}")

@@ -82,6 +82,10 @@ class TestPrice:
         path.write_text(CONFIG.replace("gamma = 0.1", "gamma = -0.1"))
         assert main(["price", "--config", str(path)]) == 2
 
+    def test_zero_steps_exits_2(self, capsys, config_file):
+        assert main(["price", "--config", config_file, "--steps", "0"]) == 2
+        assert "n_steps" in capsys.readouterr().err
+
 
 class TestRates:
     def test_curve_values_and_feedback(self, capsys, config_file, tmp_path, params, grid):
@@ -191,6 +195,13 @@ class TestSimulate:
     def test_subscribe_mode_requires_schedule(self, config_file):
         assert main(["simulate", "--config", config_file, "--mode", "subscribe"]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2(self, capsys, config_file, tmp_path, seed):
+        code = main(["simulate", "--config", config_file, "--seed", seed,
+                     "--paths", "10", "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_fast_suite_green(self, capsys, config_file):
@@ -218,3 +229,7 @@ class TestVerify:
         path = tmp_path / "bad.ini"
         path.write_text(CONFIG.replace("paths = 5000", "paths = 5000\nextra = 1"))
         assert main(["verify", "--config", str(path)]) == 2
+
+    def test_zero_paths_exits_2(self, capsys, config_file):
+        assert main(["verify", "--config", config_file, "--suite", "all", "--paths", "0"]) == 2
+        assert "n_paths" in capsys.readouterr().err

@@ -107,14 +107,15 @@ class TestRunStrategy:
 
 class TestEngineConsistency:
     def test_engine_matches_per_path_api(self, params, coarse_grid):
+        # the engine applies numpy's exp; math.exp differs in the last bit
         runs = ps.mc_multi(
-            params, coarse_grid, 5, 42,
+            params, coarse_grid, 64, 42,
             [ps.Arm(INFORMED_FROM_START), ps.Arm(UNINFORMED), ps.Arm(subscribe_at(0.5))],
         )
-        for i, b in enumerate(ps.simulate_paths(params, coarse_grid, 5, 42)):
+        for i, b in enumerate(ps.simulate_paths(params, coarse_grid, 64, 42)):
             for run, mode in zip(runs, (INFORMED_FROM_START, UNINFORMED, subscribe_at(0.5))):
                 x = ps.run_strategy(params, coarse_grid, b, mode)
-                assert -math.exp(-params.gamma * x[-1]) == run.utilities[i]
+                assert -np.exp(-params.gamma * x[-1]) == run.utilities[i]
 
     def test_chunk_size_invariance(self, params, coarse_grid):
         a = ps.mc_run(params, coarse_grid, 10, 9, mode=UNINFORMED, chunk_size=3)
@@ -135,6 +136,17 @@ class TestEngineConsistency:
     def test_minimum_path_count(self, params, coarse_grid):
         with pytest.raises(DomainError):
             ps.mc_run(params, coarse_grid, 1, 9)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, params, coarse_grid, seed):
+        with pytest.raises(DomainError, match="seed"):
+            ps.mc_run(params, coarse_grid, 2, seed)
+        with pytest.raises(DomainError, match="seed"):
+            next(ps.simulate_paths(params, coarse_grid, 1, seed))
+
+    def test_largest_seed_accepted(self, params, coarse_grid):
+        top = ps.mc_run(params, coarse_grid, 2, 2**64 - 1).utilities
+        assert not np.array_equal(top, ps.mc_run(params, coarse_grid, 2, 0).utilities)
 
 
 class TestExpectedUtility:

@@ -12,6 +12,7 @@ from signalprice import (
     validate,
 )
 from signalprice import closed_form as cf
+from signalprice import path_sim as ps
 from signalprice import verify_oracles as vo
 
 
@@ -91,17 +92,17 @@ class TestKernelOracle:
 
 class TestMcValueCheck:
     def test_uninformed_passes(self, params, grid):
-        reports = vo.mc_value_check(params, grid, 20_000, 12, UNINFORMED)
+        reports = vo.mc_value_check(params, grid, 20_000, 12, (UNINFORMED,))
         assert [r.name for r in reports] == ["mc_value_uninformed", "mc_martingale_uninformed"]
         assert all(r.passed for r in reports)
 
     def test_informed_passes(self, params, grid):
-        reports = vo.mc_value_check(params, grid, 20_000, 12, INFORMED_FROM_START)
+        reports = vo.mc_value_check(params, grid, 20_000, 12, (INFORMED_FROM_START,))
         assert all(r.passed for r in reports)
 
     def test_zero_policy_hook_exact(self, params, coarse_grid):
         reports = vo.mc_value_check(
-            params, coarse_grid, 100, 3, UNINFORMED,
+            params, coarse_grid, 100, 3, (UNINFORMED,),
             policy=lambda t, y, yh, inf: 0.0,
             reference=-math.exp(-params.gamma * params.x0),
         )
@@ -113,7 +114,19 @@ class TestMcValueCheck:
     def test_mid_horizon_mode_rejected(self, params, grid):
         from signalprice import subscribe_at
         with pytest.raises(DomainError):
-            vo.mc_value_check(params, grid, 100, 3, subscribe_at(0.5))
+            vo.mc_value_check(params, grid, 100, 3, (UNINFORMED, subscribe_at(0.5)))
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_shared_draw_matches_single_mode_calls(self, params, coarse_grid, antithetic):
+        both = vo.mc_value_check(params, coarse_grid, 2_000, 12,
+                                 (UNINFORMED, INFORMED_FROM_START), antithetic=antithetic)
+        apart = [
+            report
+            for mode in (UNINFORMED, INFORMED_FROM_START)
+            for report in vo.mc_value_check(params, coarse_grid, 2_000, 12, (mode,),
+                                            antithetic=antithetic)
+        ]
+        assert [r.as_dict() for r in both] == [r.as_dict() for r in apart]
 
 
 class TestIndifferenceBisection:
@@ -139,6 +152,17 @@ class TestIndifferenceBisection:
         grid = make_grid(1.0, 500)
         r = vo.report_indifference(params, grid, 30_000, 5)
         assert r.passed
+
+    def test_shared_draw_matches_separate_runs(self, params, coarse_grid, monkeypatch):
+        shared = vo.indifference_bisection(params, coarse_grid, 2_000, 5)
+        engine = ps.mc_multi
+
+        def separate_runs(p, grid, n_paths, seed, arms, **kwargs):
+            # one antithetic mc_run call per arm, each drawing its own paths
+            return [engine(p, grid, n_paths, seed, [arm], **kwargs)[0] for arm in arms]
+
+        monkeypatch.setattr(ps, "mc_multi", separate_runs)
+        assert vo.indifference_bisection(params, coarse_grid, 2_000, 5) == shared
 
 
 class TestHighPrecisionStrategy:
