@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 failed verification checks, 2 bad config/schedule/IO.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -98,6 +99,8 @@ def cmd_price(cfg: RunConfig, mode: str) -> int:
 
 def cmd_rates(cfg: RunConfig, n_points: int) -> int:
     """Rate curves CSV plus a two-column schedule file that feeds back in."""
+    if n_points < 2:
+        raise DomainError(f"--points must be >= 2, got {n_points}")
     p = cfg.params
     t = np.linspace(0.0, p.t_end, n_points)
     c_hat_t = np.asarray(subscription_timing.indifference_rate(p, t))
@@ -118,15 +121,21 @@ def cmd_rates(cfg: RunConfig, n_points: int) -> int:
     return 0
 
 
-def _closed_form_reference(cfg: RunConfig, mode_name, charge, schedule):
-    p = cfg.params
+def _closed_form_reference(cfg: RunConfig, mode_name, charge, schedule, t_star):
+    """Closed-form t = 0 value of the strategy the run simulates.
+
+    In subscribe mode that is the committed purchase at the grid point
+    nearest ``t_star``: the value of buying at 0, discounted by the timing
+    profile there, -exp(pre(0) - gamma F(t*)).
+    """
+    p, grid = cfg.params, cfg.grid
     if mode_name == "uninformed":
         return float(closed_form.value_uninformed(p, 0.0, p.x0, p.y0))
     if mode_name == "informed":
         return float(closed_form.value_informed(p, 0.0, p.x0, p.y0, charge))
-    return float(
-        subscription_timing.value_flexible(p, 0.0, p.x0, p.y0, schedule, cfg.grid)
-    )
+    pre0 = float(subscription_timing.value_prepurchase(p, 0.0, p.x0, p.y0, schedule))
+    profile = subscription_timing.profile(p, schedule, grid)
+    return pre0 * math.exp(-p.gamma * profile[grid.index_of(t_star)])
 
 
 def cmd_simulate(
@@ -139,6 +148,8 @@ def cmd_simulate(
     antithetic: bool,
 ) -> int:
     p, grid = cfg.params, cfg.grid
+    if dump_paths < 0:
+        raise DomainError(f"--dump-paths must be >= 0, got {dump_paths}")
     if mode_name == "uninformed":
         mode, mode_charge = UNINFORMED, 0.0
     elif mode_name == "informed":
@@ -152,7 +163,7 @@ def cmd_simulate(
         p, grid, cfg.mc.n_paths, cfg.mc.seed, mode=mode, charge=mode_charge,
         antithetic=antithetic,
     )
-    closed = _closed_form_reference(cfg, mode_name, charge, schedule)
+    closed = _closed_form_reference(cfg, mode_name, charge, schedule, t_star)
     z = (est.mean - closed) / est.std_err if est.std_err > 0 else 0.0
 
     os.makedirs(cfg.out_dir, exist_ok=True)

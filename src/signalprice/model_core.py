@@ -59,6 +59,14 @@ def validate(params: ModelParams) -> ModelParams:
         raise DomainError(f"sigma_z must be > 0, got {params.sigma_z!r}")
     if params.gamma <= 0.0:
         raise DomainError(f"gamma must be > 0, got {params.gamma!r}")
+    # gamma sigma_z^2 scales every position; squared by multiplication, which
+    # gives inf where ** would raise OverflowError
+    scale = params.gamma * (params.sigma_z * params.sigma_z)
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise DomainError(
+            f"sigma_z = {params.sigma_z!r} is out of range: gamma * sigma_z**2 = {scale!r} "
+            "must be finite and nonzero"
+        )
     if params.t_end <= 0.0:
         raise DomainError(f"t_end must be > 0, got {params.t_end!r}")
     return params

@@ -13,12 +13,20 @@ pure function of (seed, index) regardless of chunk size or evaluation order.
 Antithetic mode derives paths 2j and 2j+1 from the same keyed draw with
 opposite signs.
 
-Internals hold path chunks time-major (step axis first) so the per-step
-recursions touch contiguous memory.  The one-path ``PathBundle`` API and the
-chunked Monte-Carlo engine share one draw routine
-(``_SubstreamDrawer.increments``) and the same integration kernels, so the
-two agree bit for bit.  ``mc_multi`` evaluates several (mode, charge) arms on
-one shared set of paths: common random numbers for indifference comparisons.
+A chunk's draws are held path-major (keys, 2, n), as the keyed streams
+produce them, in one buffer that every chunk of a run reuses.  One step
+loop (``_integrate``, with ``_Wealth`` for the arms) advances signal, price,
+filtered signal and every arm's wealth a step at a time on (m,) rows,
+updated in place.  It reads the increments in blocks of a few dozen steps,
+scaled and transposed into one reused time-major buffer, so a chunk holds
+its draws plus one block and no (n+1, m) path matrix.  The one-path API
+runs the same step code on floats: ``simulate_paths`` is the case without
+arms and ``run_strategy`` steps one arm's wealth along a bundle's stored
+signal, so the engine and the API agree bit for bit.  The filter step
+evaluates ``signal_filter.filter_path``'s recursion in the same order, so
+``filtered_signal`` matches the engine's filtered signal too.
+``mc_multi`` evaluates several (mode, charge) arms on one shared set of
+paths: common random numbers for indifference comparisons.
 ``mean_std_err`` is the one standard-error rule, pairing antithetic values.
 """
 
@@ -41,7 +49,8 @@ from .model_core import (
 )
 from .subscription_timing import RateSchedule
 
-# position hook signature: (t_k, y_k, y_hat_k | None, informed) -> positions
+# position hook signature: (t_k, y_k, y_hat_k | None, informed) -> positions;
+# y_k and y_hat_k are (m,) rows in the engine and floats in ``run_strategy``
 Policy = Callable[[float, np.ndarray, np.ndarray | None, bool], np.ndarray]
 
 
@@ -60,7 +69,8 @@ class _SubstreamDrawer:
         self._gen = np.random.Generator(self._bitgen)
         self._state = self._bitgen.state
 
-    def normals(self, index: int, shape) -> np.ndarray:
+    def normals(self, index: int, out: np.ndarray) -> np.ndarray:
+        """Fill C-contiguous float ``out`` with the standard normals of key ``index``."""
         st = self._state
         st["state"]["key"][1] = index
         st["state"]["counter"][:] = 0
@@ -68,25 +78,147 @@ class _SubstreamDrawer:
         st["has_uint32"] = 0
         st["uinteger"] = 0
         self._bitgen.state = st
-        return self._gen.standard_normal(shape)
+        return self._gen.standard_normal(out=out)
 
-    def increments(self, start: int, m: int, n_steps: int, dt: float, antithetic: bool = False):
-        """Time-major (dB^Y, dB^Z), each (n_steps, m) with variance dt, for paths
-        ``start .. start + m - 1``.
+    def fill(self, first: int, z: np.ndarray) -> np.ndarray:
+        """Fill path-major ``z`` (keys, 2, n_steps) with keys ``first``, ``first + 1``, ...
 
-        Antithetic paths 2j and 2j+1 take keyed draw j with opposite signs, so
-        ``start`` and ``m`` must be even.
+        Row 0 of a key drives dB^Y and row 1 dB^Z.  Antithetic paths 2j and
+        2j+1 share key j with opposite signs.
         """
-        keys = range(start // 2, (start + m) // 2) if antithetic else range(start, start + m)
-        z = np.empty((len(keys), 2, n_steps))
-        for j, index in enumerate(keys):
-            z[j] = self.normals(index, (2, n_steps))
-        sqdt = math.sqrt(dt)
-        by = sqdt * z[:, 0, :].T  # column j bit-equal to a one-path draw of key j
-        bz = sqdt * z[:, 1, :].T
+        for j in range(z.shape[0]):
+            self.normals(first + j, z[j])
+        return z
+
+
+# Increments are scaled and transposed in blocks of _BLOCK steps into one
+# reused buffer: a (2, 32, m) block of an 8192-path chunk is 4 MB, against
+# 131 MB of draws at 1000 steps.  Each block is copied _KEYS keys at a time,
+# so that the strided reads of one copy touch few pages.
+_BLOCK = 32
+_KEYS = 256
+
+
+def _increment_rows(z: np.ndarray, dt: float, antithetic: bool) -> Iterator[tuple]:
+    """(dB^Y_k, dB^Z_k) for k = 0 .. n-1, each an (m,) row with variance dt.
+
+    ``z`` holds path-major draws (keys, 2, n).  Each block of ``_BLOCK`` steps
+    is scaled and transposed into one reused C-contiguous (2, _BLOCK, m)
+    buffer, so a chunk holds its draws plus one block, and every row is
+    contiguous.  Antithetic blocks go to the even columns and their negation
+    to the odd ones.  A yielded row is overwritten by the next block.
+    """
+    keys, _, n = z.shape
+    sqdt = math.sqrt(dt)
+    block = np.empty((2, _BLOCK, 2 * keys if antithetic else keys))
+    drawn = block[:, :, 0::2] if antithetic else block
+    for k0 in range(0, n, _BLOCK):
+        b = min(_BLOCK, n - k0)
+        for j in range(0, keys, _KEYS):
+            tile = z[j : j + _KEYS, :, k0 : k0 + b].transpose(1, 2, 0)
+            np.multiply(tile, sqdt, out=drawn[:, :b, j : j + _KEYS])
         if antithetic:
-            by, bz = (np.stack([h, -h], axis=2).reshape(n_steps, m) for h in (by, bz))
-        return by, bz
+            np.negative(drawn[:, :b], out=block[:, :b, 1::2])
+        for j in range(b):
+            yield block[0, j], block[1, j]
+
+
+class _Wealth:
+    """Every arm's wealth on shared paths, advanced one step at a time.
+
+    Wealth is one float per arm for a single path, or one (m,) array per arm
+    updated in place.  ``arms`` holds (k_star, lump, per-step schedule rates,
+    policy) per arm.  Arms without a policy share the two position rules
+    (true signal once subscribed, filtered signal before), so each rule's
+    gain is formed once per step.
+    """
+
+    def __init__(self, p: ModelParams, grid: TimeGrid, arms, m: int | None):
+        t = grid.t
+        tk = t[:-1]
+        self.mu, self.sigma_z = p.mu, p.sigma_z
+        self.dt = float(t[1] - t[0])
+        self.gs = p.gamma * p.sigma_z**2
+        a = noise_ratio(p)
+        self.tk = tk.tolist()
+        # deterministic part of the filtered-signal position, one value per step
+        self.ufac = (_cosh_cosh_over_cosh(a * (p.t_end - tk), a * tk) / self.gs).tolist()
+        # an arm that never subscribes gets k_star = n + 1: never informed, never charged
+        self.arms = [
+            (grid.n_steps + 1 if k_star is None else k_star, lump,
+             None if rates is None else rates.tolist(), policy)
+            for k_star, lump, rates, policy in arms
+        ]
+        fresh = lambda: float(p.x0) if m is None else np.full(m, p.x0)
+        self.x = [fresh() - lump if k_star == 0 else fresh() for k_star, lump, _, _ in self.arms]
+
+    def step(self, k: int, y, my, y_hat, bz) -> None:
+        """Step k: positions from information at t_k (``my`` is mu + y), the
+        trading gain phi (mu + y) dt + sigma_z phi dB^Z over [t_k, t_k+1),
+        then schedule and lump charges."""
+        dt, x = self.dt, self.x
+        rules = [None, None]  # gains of the filtered-signal and the true-signal rule
+        for i, (k_star, lump, rates, policy) in enumerate(self.arms):
+            informed = k >= k_star
+            if policy is None and rules[informed] is not None:
+                drift, noise = rules[informed]
+            else:
+                if policy is not None:
+                    phi = policy(self.tk[k], y, y_hat, informed)
+                elif informed:
+                    phi = my / self.gs
+                else:
+                    phi = (self.mu + y_hat) * self.ufac[k]
+                # (phi my) dt and (sigma_z phi) dB^Z, rounded as the sum rounds them
+                drift = phi * my
+                drift *= dt
+                noise = self.sigma_z * phi
+                noise *= bz
+                if policy is None:
+                    rules[informed] = drift, noise
+            x_i = x[i]
+            x_i += drift
+            x_i += noise
+            if rates is not None and informed:
+                x_i -= rates[k] * dt
+            if k + 1 == k_star:
+                x_i -= lump
+            x[i] = x_i
+
+
+def _integrate(p: ModelParams, grid: TimeGrid, rows, y, s, y_hat=None, wealth=None):
+    """Yield (y, s, y_hat) at grid indices 0 .. n, one Euler step per increment row.
+
+    The state is floats (one path) or (m,) arrays, which are updated in place:
+    a consumer copies what it keeps before asking for the next step.
+    ``y_hat`` None skips the filter; ``wealth`` advances with the same rows.
+    """
+    mu, sigma_y, sigma_z = p.mu, p.sigma_y, p.sigma_z
+    dt = float(grid.t[1] - grid.t[0])
+    if y_hat is not None:
+        gains = signal_filter.filter_gain(p, grid.t[:-1]).tolist()
+    yield y, s, y_hat
+    for k, (by, bz) in enumerate(rows):
+        my = mu + y
+        if wealth is not None:
+            wealth.step(k, y, my, y_hat, bz)
+        # s + my dt + sigma_z bz and y_hat + g_k (s_next - s - (mu + y_hat) dt) / sigma_z,
+        # with each operation in place where possible.  The operands of every
+        # rounding stay the same (IEEE sums and products commute), so the bits do.
+        s_next = my * dt
+        s_next += s
+        s_next += sigma_z * bz
+        if y_hat is not None:
+            innovation = s_next - s
+            drift = mu + y_hat
+            drift *= dt
+            innovation -= drift
+            innovation /= sigma_z
+            innovation *= gains[k]
+            y_hat += innovation
+        y += sigma_y * by
+        s = s_next
+        yield y, s, y_hat
 
 
 @dataclass
@@ -112,29 +244,20 @@ def filtered_signal(p: ModelParams, grid: TimeGrid, bundle: PathBundle) -> np.nd
     return bundle.y_hat
 
 
-def _integrate_signal_price(p: ModelParams, t: np.ndarray, by: np.ndarray, bz: np.ndarray):
-    """Signal and price paths from time-major increments of shape (n, ...)."""
-    n = t.shape[0] - 1
-    dt = t[1] - t[0]
-    y = np.empty((n + 1,) + by.shape[1:], dtype=float)
-    s = np.empty_like(y)
-    y[0] = p.y0
-    s[0] = p.s0
-    for k in range(n):
-        y[k + 1] = y[k] + p.sigma_y * by[k]
-        s[k + 1] = s[k] + (p.mu + y[k]) * dt + p.sigma_z * bz[k]
-    return y, s
-
-
 def simulate_paths(
     p: ModelParams, grid: TimeGrid, n_paths: int, seed: int
 ) -> Iterator[PathBundle]:
     """Yield ``n_paths`` independent scenarios, one per (seed, index) substream."""
     drawer = _SubstreamDrawer(seed)
+    sqdt = math.sqrt(grid.dt)
     for index in range(n_paths):
-        by, bz = (b[:, 0] for b in drawer.increments(index, 1, grid.n_steps, grid.dt))
-        y, s = _integrate_signal_price(p, grid.t, by, bz)
-        yield PathBundle(t=grid.t, by_incr=by, bz_incr=bz, y=y, s=s)
+        by, bz = sqdt * drawer.normals(index, np.empty((2, grid.n_steps)))
+        rows = zip(by.tolist(), bz.tolist())
+        y, s = [], []
+        for y_k, s_k, _ in _integrate(p, grid, rows, float(p.y0), float(p.s0)):
+            y.append(y_k)
+            s.append(s_k)
+        yield PathBundle(t=grid.t, by_incr=by, bz_incr=bz, y=np.array(y), s=np.array(s))
 
 
 def _resolve_charges(
@@ -161,64 +284,6 @@ def _resolve_charges(
     return k_star, lump, sched_rates
 
 
-def _integrate_wealth(
-    p: ModelParams,
-    t: np.ndarray,
-    y: np.ndarray,
-    y_hat: np.ndarray | None,
-    bz: np.ndarray,
-    k_star: int | None,
-    lump: float,
-    sched_rates: np.ndarray | None,
-    policy: Policy | None = None,
-    keep_path: bool = True,
-    snapshot_idx: tuple[int, ...] = (),
-):
-    """Wealth along time-major paths of shape (n+1, ...).
-
-    Returns (wealth, snapshots): the full path when ``keep_path`` else the
-    terminal slice, and a dict of requested grid indices to wealth there.
-    """
-    n = t.shape[0] - 1
-    dt = t[1] - t[0]
-    gs = p.gamma * p.sigma_z**2
-    a = noise_ratio(p)
-    tk = t[:-1]
-    # deterministic part of the filtered-signal position, one value per step
-    ufac = _cosh_cosh_over_cosh(a * (p.t_end - tk), a * tk) / gs
-
-    x = np.full(y.shape[1:], p.x0, dtype=float)
-    if k_star == 0:
-        x = x - lump
-    snapshots: dict[int, np.ndarray] = {}
-    if 0 in snapshot_idx:
-        snapshots[0] = x.copy()
-    path = None
-    if keep_path:
-        path = np.empty_like(y)
-        path[0] = x
-
-    for k in range(n):
-        informed = k_star is not None and k >= k_star
-        if policy is not None:
-            yh_k = None if y_hat is None else y_hat[k]
-            phi = policy(tk[k], y[k], yh_k, informed)
-        elif informed:
-            phi = (p.mu + y[k]) / gs
-        else:
-            phi = (p.mu + y_hat[k]) * ufac[k]
-        x = x + phi * (p.mu + y[k]) * dt + p.sigma_z * phi * bz[k]
-        if sched_rates is not None and informed:
-            x = x - sched_rates[k] * dt
-        if k_star is not None and k + 1 == k_star:
-            x = x - lump
-        if keep_path:
-            path[k + 1] = x
-        if (k + 1) in snapshot_idx:
-            snapshots[k + 1] = x.copy()
-    return (path if keep_path else x), snapshots
-
-
 def run_strategy(
     p: ModelParams,
     grid: TimeGrid,
@@ -236,11 +301,14 @@ def run_strategy(
     """
     k_star, lump, sched_rates = _resolve_charges(p, grid, mode, charge)
     needs_filter = policy is not None or k_star is None or k_star > 0
-    y_hat = filtered_signal(p, grid, bundle) if needs_filter else None
-    x, _ = _integrate_wealth(
-        p, grid.t, bundle.y, y_hat, bundle.bz_incr, k_star, lump, sched_rates, policy
-    )
-    return x
+    y_hat = filtered_signal(p, grid, bundle).tolist() if needs_filter else [None] * grid.n_steps
+    wealth = _Wealth(p, grid, [(k_star, lump, sched_rates, policy)], None)
+    step, x, mu = wealth.step, wealth.x, p.mu
+    path = [x[0]]
+    for k, (y, y_hat_k, bz) in enumerate(zip(bundle.y.tolist(), y_hat, bundle.bz_incr.tolist())):
+        step(k, y, mu + y, y_hat_k, bz)
+        path.append(x[0])
+    return np.array(path)
 
 
 def mean_std_err(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
@@ -339,25 +407,33 @@ def mc_multi(
     if antithetic:
         chunk_size += chunk_size % 2
 
+    policies = [(*charges, arm.policy) for arm, charges in zip(arms, resolved)]
     drawer = _SubstreamDrawer(seed)
+    per_key = 2 if antithetic else 1
+    # one draw buffer for every chunk; the last chunk may use part of it
+    draws = np.empty((min(chunk_size, n_paths) // per_key, 2, grid.n_steps))
     for start in range(0, n_paths, chunk_size):
         m = min(chunk_size, n_paths - start)
-        by, bz = drawer.increments(start, m, grid.n_steps, grid.dt, antithetic)
-        y, s = _integrate_signal_price(p, grid.t, by, bz)
-        y_hat = signal_filter._filter_prices(p, grid.t, s)[0] if needs_filter else None
-        for run, arm, (k_star, lump, sched_rates) in zip(runs, arms, resolved):
-            x_T, snap_x = _integrate_wealth(
-                p, grid.t, y, y_hat, bz, k_star, lump, sched_rates, arm.policy,
-                keep_path=False, snapshot_idx=snap_idx,
-            )
+        z = drawer.fill(start // per_key, draws[: m // per_key])
+        wealth = _Wealth(p, grid, policies, m)
+        steps = _integrate(
+            p, grid, _increment_rows(z, grid.dt, antithetic),
+            np.full(m, p.y0), np.full(m, p.s0),
+            np.full(m, p.y0) if needs_filter else None, wealth,
+        )
+        paths = slice(start, start + m)
+        for k, (y, _, y_hat) in enumerate(steps):
+            if k in snap_idx:
+                for run, x in zip(runs, wealth.x):
+                    snap = run.snapshots[k]
+                    snap["x"][paths] = x
+                    snap["y"][paths] = y
+                    if needs_filter:
+                        snap["y_hat"][paths] = y_hat
+        for run, x_T in zip(runs, wealth.x):
             z_exp = -p.gamma * x_T
             run.n_saturated += int(np.count_nonzero(z_exp > EXPONENT_CAP))
-            run.utilities[start : start + m] = -np.exp(np.minimum(z_exp, EXPONENT_CAP))
-            for k in snap_idx:
-                run.snapshots[k]["x"][start : start + m] = snap_x[k]
-                run.snapshots[k]["y"][start : start + m] = y[k]
-                if needs_filter:
-                    run.snapshots[k]["y_hat"][start : start + m] = y_hat[k]
+            run.utilities[paths] = -np.exp(np.minimum(z_exp, EXPONENT_CAP))
     return runs
 
 

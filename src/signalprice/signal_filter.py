@@ -60,8 +60,10 @@ def _filter_prices(p: ModelParams, t: np.ndarray, s: np.ndarray):
     """Vectorized filter recursion; the first axis of ``s`` is time.
 
     ``s`` has shape (n+1,) or (n+1, m); returns (y_hat, innovations) with
-    shapes matching ``s`` and (n, ...).  One time-major code path serves both
-    single paths and batched Monte-Carlo chunks so the two agree bit for bit.
+    shapes matching ``s`` and (n, ...).  The Monte-Carlo step loop
+    (``path_sim._integrate``) evaluates the same recursion in the same order,
+    so filtering a simulated price path reproduces the engine's y_hat bit for
+    bit.
     """
     n = t.shape[0] - 1
     dt = t[1] - t[0]

@@ -39,7 +39,14 @@ def assert_close(actual, expected, rel=1e-12, abs_=0.0, msg=""):
 
 
 def batch_paths(p, grid, n_paths, seed):
-    """Time-major (n+1, m) signal and price ensembles from per-path substreams."""
-    drawer = _path_sim._SubstreamDrawer(seed)
-    by, bz = drawer.increments(0, n_paths, grid.n_steps, grid.dt)
-    return _path_sim._integrate_signal_price(p, grid.t, by, bz)
+    """Time-major (n+1, m) signal and price ensembles from per-path substreams,
+    through the engine's step loop."""
+    z = _path_sim._SubstreamDrawer(seed).fill(0, np.empty((n_paths, 2, grid.n_steps)))
+    rows = _path_sim._increment_rows(z, grid.dt, antithetic=False)
+    y = np.empty((grid.n_steps + 1, n_paths))
+    s = np.empty_like(y)
+    start = (np.full(n_paths, p.y0), np.full(n_paths, p.s0))
+    for k, (y_k, s_k, _) in enumerate(_path_sim._integrate(p, grid, rows, *start)):
+        y[k] = y_k
+        s[k] = s_k
+    return y, s

@@ -113,6 +113,15 @@ class TestRates:
         assert len(got["indifference_set"]) == grid.n_steps + 1
         assert got["grid_dt"] == grid.dt
 
+    @pytest.mark.parametrize("points", ["-1", "0", "1"])
+    def test_fewer_than_two_points_exits_2(self, capsys, config_file, tmp_path, points):
+        out_dir = tmp_path / "out"
+        code = main(["rates", "--config", config_file, "--points", points,
+                     "--out", str(out_dir)])
+        assert code == 2
+        assert "--points" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestSubscribe:
     def test_constant_rate(self, capsys, config_file, tmp_path, params):
@@ -192,6 +201,30 @@ class TestSimulate:
         values_header = (out_dir / "values_00000.csv").read_text().splitlines()[0]
         assert values_header == "t,v_uninformed,v_informed,v_flexible"
 
+    @pytest.mark.parametrize("t_star", ["0", "0.5", "1"])
+    def test_subscribe_mode_reference_is_the_committed_purchase(
+        self, capsys, config_file, tmp_path, params, t_star
+    ):
+        # Under the flat c_bar rate every t* has its own value; the optimal
+        # one (t* = T/2) is not the reference for the other purchase times.
+        sched = tmp_path / "flat.csv"
+        st.RateSchedule.constant(cf.continuous_price(params).c_bar, 1.0).to_csv(sched)
+        code, out = run_cli(capsys, "simulate", "--config", config_file,
+                            "--mode", "subscribe", "--schedule", str(sched),
+                            "--t-star", t_star, "--paths", "20000", "--steps", "200",
+                            "--dump-paths", "0", "--out", str(tmp_path / "sim"))
+        assert code == 0
+        got = json.loads(out)
+        assert abs(got["z_score"]) <= 3.0
+
+    def test_negative_dump_paths_exits_2(self, capsys, config_file, tmp_path):
+        out_dir = tmp_path / "sim"
+        code = main(["simulate", "--config", config_file, "--paths", "10",
+                     "--dump-paths", "-1", "--out", str(out_dir)])
+        assert code == 2
+        assert "--dump-paths" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_subscribe_mode_requires_schedule(self, config_file):
         assert main(["simulate", "--config", config_file, "--mode", "subscribe"]) == 2
 
@@ -229,6 +262,13 @@ class TestVerify:
         path = tmp_path / "bad.ini"
         path.write_text(CONFIG.replace("paths = 5000", "paths = 5000\nextra = 1"))
         assert main(["verify", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("sigma_z", ["1e200", "1e-200"])
+    def test_unrepresentable_sigma_z_exits_2(self, capsys, tmp_path, sigma_z):
+        path = tmp_path / "extreme.ini"
+        path.write_text(CONFIG.replace("sigma_z = 0.05", f"sigma_z = {sigma_z}"))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "sigma_z" in capsys.readouterr().err
 
     def test_zero_paths_exits_2(self, capsys, config_file):
         assert main(["verify", "--config", config_file, "--suite", "all", "--paths", "0"]) == 2

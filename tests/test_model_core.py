@@ -32,6 +32,8 @@ class TestValidate:
     @pytest.mark.parametrize("field,value", [
         ("sigma_z", 0.0),
         ("sigma_z", -0.05),
+        ("sigma_z", 1e200),   # gamma * sigma_z**2 overflows to inf
+        ("sigma_z", 1e-200),  # ... or underflows to 0
         ("gamma", -0.1),
         ("gamma", 0.0),
         ("t_end", 0.0),

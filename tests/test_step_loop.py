@@ -1,0 +1,232 @@
+"""The fused step loop against a frozen copy of the staged recursions it replaced.
+
+``mc_multi``, ``simulate_paths`` and ``run_strategy`` once drew time-major
+increments for a whole chunk, integrated signal and price into (n+1, m)
+matrices, filtered the whole price matrix, then integrated each arm's wealth
+over it.  Those stages are kept below verbatim (the draws use a fresh Philox
+generator per key instead of the re-keyed one) and every result of the step
+loop must equal theirs bit for bit.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from signalprice import INFORMED_FROM_START, UNINFORMED, make_grid, subscribe_at
+from signalprice import closed_form as cf
+from signalprice import path_sim as ps
+from signalprice.closed_form import EXPONENT_CAP, _cosh_cosh_over_cosh, noise_ratio
+from signalprice.signal_filter import filter_gain
+from signalprice.subscription_timing import RateSchedule
+
+SEED = 11
+
+
+# --- frozen staged oracle ---
+
+def _staged_increments(seed, start, m, n_steps, dt, antithetic):
+    keys = range(start // 2, (start + m) // 2) if antithetic else range(start, start + m)
+    z = np.empty((len(keys), 2, n_steps))
+    for j, index in enumerate(keys):
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+        z[j] = gen.standard_normal((2, n_steps))
+    sqdt = math.sqrt(dt)
+    by = sqdt * z[:, 0, :].T
+    bz = sqdt * z[:, 1, :].T
+    if antithetic:
+        by, bz = (np.stack([h, -h], axis=2).reshape(n_steps, m) for h in (by, bz))
+    return by, bz
+
+
+def _integrate_signal_price(p, t, by, bz):
+    n = t.shape[0] - 1
+    dt = t[1] - t[0]
+    y = np.empty((n + 1,) + by.shape[1:], dtype=float)
+    s = np.empty_like(y)
+    y[0] = p.y0
+    s[0] = p.s0
+    for k in range(n):
+        y[k + 1] = y[k] + p.sigma_y * by[k]
+        s[k + 1] = s[k] + (p.mu + y[k]) * dt + p.sigma_z * bz[k]
+    return y, s
+
+
+def _filter_prices(p, t, s):
+    n = t.shape[0] - 1
+    dt = t[1] - t[0]
+    gains = filter_gain(p, t[:-1])
+    y_hat = np.empty_like(s)
+    y_hat[0] = p.y0
+    for k in range(n):
+        ds = s[k + 1] - s[k]
+        db_hat = (ds - (p.mu + y_hat[k]) * dt) / p.sigma_z
+        y_hat[k + 1] = y_hat[k] + gains[k] * db_hat
+    return y_hat
+
+
+def _integrate_wealth(p, t, y, y_hat, bz, k_star, lump, sched_rates, policy=None,
+                      keep_path=True, snapshot_idx=()):
+    n = t.shape[0] - 1
+    dt = t[1] - t[0]
+    gs = p.gamma * p.sigma_z**2
+    a = noise_ratio(p)
+    tk = t[:-1]
+    ufac = _cosh_cosh_over_cosh(a * (p.t_end - tk), a * tk) / gs
+
+    x = np.full(y.shape[1:], p.x0, dtype=float)
+    if k_star == 0:
+        x = x - lump
+    snapshots = {}
+    if 0 in snapshot_idx:
+        snapshots[0] = x.copy()
+    path = None
+    if keep_path:
+        path = np.empty_like(y)
+        path[0] = x
+
+    for k in range(n):
+        informed = k_star is not None and k >= k_star
+        if policy is not None:
+            yh_k = None if y_hat is None else y_hat[k]
+            phi = policy(tk[k], y[k], yh_k, informed)
+        elif informed:
+            phi = (p.mu + y[k]) / gs
+        else:
+            phi = (p.mu + y_hat[k]) * ufac[k]
+        x = x + phi * (p.mu + y[k]) * dt + p.sigma_z * phi * bz[k]
+        if sched_rates is not None and informed:
+            x = x - sched_rates[k] * dt
+        if k_star is not None and k + 1 == k_star:
+            x = x - lump
+        if keep_path:
+            path[k + 1] = x
+        if (k + 1) in snapshot_idx:
+            snapshots[k + 1] = x.copy()
+    return (path if keep_path else x), snapshots
+
+
+def _staged_mc_multi(p, grid, n_paths, seed, arms, antithetic, snapshot_times, chunk_size):
+    resolved = [ps._resolve_charges(p, grid, arm.mode, arm.charge) for arm in arms]
+    needs_filter = any(
+        arm.policy is not None or k_star is None or k_star > 0
+        for arm, (k_star, _, _) in zip(arms, resolved)
+    )
+    snap_idx = tuple(sorted({grid.index_of(s) for s in snapshot_times}))
+    out = [{"u": np.empty(n_paths), "snap": {k: {"x": np.empty(n_paths), "y": np.empty(n_paths),
+                                                   "y_hat": np.empty(n_paths)} for k in snap_idx}}
+           for _ in arms]
+    if antithetic:
+        chunk_size += chunk_size % 2
+    for start in range(0, n_paths, chunk_size):
+        m = min(chunk_size, n_paths - start)
+        by, bz = _staged_increments(seed, start, m, grid.n_steps, grid.dt, antithetic)
+        y, s = _integrate_signal_price(p, grid.t, by, bz)
+        y_hat = _filter_prices(p, grid.t, s) if needs_filter else None
+        for res, arm, (k_star, lump, sched_rates) in zip(out, arms, resolved):
+            x_T, snap_x = _integrate_wealth(
+                p, grid.t, y, y_hat, bz, k_star, lump, sched_rates, arm.policy,
+                keep_path=False, snapshot_idx=snap_idx,
+            )
+            res["u"][start : start + m] = -np.exp(np.minimum(-p.gamma * x_T, EXPONENT_CAP))
+            for k in snap_idx:
+                res["snap"][k]["x"][start : start + m] = snap_x[k]
+                res["snap"][k]["y"][start : start + m] = y[k]
+                if needs_filter:
+                    res["snap"][k]["y_hat"][start : start + m] = y_hat[k]
+                else:
+                    res["snap"][k]["y_hat"] = None
+    return out
+
+
+# --- the step loop must reproduce it ---
+
+def _policy(t, y, y_hat, informed):
+    return (0.05 + (y if informed else y_hat)) * (3.0 + t)
+
+
+def _arms(params):
+    flat = RateSchedule.constant(cf.continuous_price(params).c_bar, params.t_end)
+    return [
+        ps.Arm(UNINFORMED),
+        ps.Arm(INFORMED_FROM_START, charge=0.7),          # lump at k* = 0
+        ps.Arm(subscribe_at(0.5), charge=0.3),            # lump at k* > 0
+        ps.Arm(subscribe_at(0.25), charge=flat),          # rate schedule
+        ps.Arm(subscribe_at(1.0), charge=flat),           # subscribes at the horizon
+        ps.Arm(subscribe_at(0.5), policy=_policy),        # policy hook
+    ]
+
+
+def _bits(a):
+    return None if a is None else np.asarray(a).tobytes()
+
+
+# 70 steps: two full blocks of 32 and a partial one; 600 paths in one chunk
+# span several key tiles.
+@pytest.mark.parametrize("n_steps", [5, 70])
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("n_paths,chunk_size", [(30, 3), (30, 8), (600, 8192)])
+def test_engine_matches_staged_oracle(params, n_steps, antithetic, n_paths, chunk_size):
+    grid = make_grid(1.0, n_steps)
+    arms = _arms(params)
+    snapshot_times = (0.0, 0.3, 1.0)  # grid indices 0, interior and n
+    runs = ps.mc_multi(params, grid, n_paths, SEED, arms, antithetic=antithetic,
+                       snapshot_times=snapshot_times, chunk_size=chunk_size)
+    staged = _staged_mc_multi(params, grid, n_paths, SEED, arms, antithetic,
+                              snapshot_times, chunk_size)
+    assert sorted(runs[0].snapshots) == [0, grid.index_of(0.3), n_steps]
+    for run, want in zip(runs, staged):
+        assert _bits(run.utilities) == _bits(want["u"])
+        for k, snap in run.snapshots.items():
+            for name in ("x", "y", "y_hat"):
+                assert _bits(snap[name]) == _bits(want["snap"][k][name]), (k, name)
+
+
+def test_engine_without_filter_matches_staged_oracle(params):
+    # informed-only arms skip the filter; snapshots then carry no y_hat
+    grid = make_grid(1.0, 40)
+    arms = [ps.Arm(INFORMED_FROM_START), ps.Arm(INFORMED_FROM_START, charge=1.5)]
+    runs = ps.mc_multi(params, grid, 50, SEED, arms, snapshot_times=(0.0, 1.0), chunk_size=8)
+    staged = _staged_mc_multi(params, grid, 50, SEED, arms, False, (0.0, 1.0), 8)
+    for run, want in zip(runs, staged):
+        assert _bits(run.utilities) == _bits(want["u"])
+        for k, snap in run.snapshots.items():
+            assert snap["y_hat"] is None and want["snap"][k]["y_hat"] is None
+            assert _bits(snap["x"]) == _bits(want["snap"][k]["x"])
+            assert _bits(snap["y"]) == _bits(want["snap"][k]["y"])
+
+
+def test_per_path_api_matches_staged_oracle(params):
+    grid = make_grid(1.0, 70)
+    for index, bundle in enumerate(ps.simulate_paths(params, grid, 4, SEED)):
+        by, bz = (b[:, 0] for b in _staged_increments(SEED, index, 1, grid.n_steps, grid.dt, False))
+        y, s = _integrate_signal_price(params, grid.t, by, bz)
+        y_hat = _filter_prices(params, grid.t, s)
+        for got, want in ((bundle.by_incr, by), (bundle.bz_incr, bz), (bundle.y, y),
+                          (bundle.s, s), (ps.filtered_signal(params, grid, bundle), y_hat)):
+            assert got.shape == want.shape and _bits(got) == _bits(want)
+        for arm in _arms(params):
+            k_star, lump, rates = ps._resolve_charges(params, grid, arm.mode, arm.charge)
+            needs_filter = arm.policy is not None or k_star is None or k_star > 0
+            want, _ = _integrate_wealth(params, grid.t, y, y_hat if needs_filter else None, bz,
+                                        k_star, lump, rates, arm.policy)
+            got = ps.run_strategy(params, grid, bundle, arm.mode, arm.charge, arm.policy)
+            assert got.shape == want.shape and _bits(got) == _bits(want)
+
+
+def test_engine_holds_no_path_matrix(params):
+    # A chunk holds its draws (keys, 2, n) plus one block; the staged engine
+    # also held (n+1, m) signal, price, filter and increment matrices.
+    grid = make_grid(1.0, 1000)
+    m = 512
+    draws_bytes = m * 2 * grid.n_steps * 8
+    path_matrix_bytes = (grid.n_steps + 1) * m * 8
+    arms = [ps.Arm(UNINFORMED), ps.Arm(INFORMED_FROM_START)]
+    tracemalloc.start()
+    try:
+        ps.mc_multi(params, grid, m, SEED, arms, snapshot_times=(0.5, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < draws_bytes + path_matrix_bytes
