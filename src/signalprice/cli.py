@@ -33,7 +33,7 @@ from .model_core import (
     make_grid,
     subscribe_at,
 )
-from .subscription_timing import RateSchedule, ScheduleDomainError
+from .subscription_timing import RateSchedule
 from .verify_oracles import ConvergenceError
 
 
@@ -42,7 +42,10 @@ def _format_float(x: float) -> str:
 
 
 def _to_json(obj) -> str:
-    """JSON text with floats at 17 significant digits, stable key order."""
+    """JSON text with floats at 17 significant digits, stable key order.
+
+    JSON has no inf or nan, so non-finite floats are written as null.
+    """
     if isinstance(obj, dict):
         items = ", ".join(f'"{k}": {_to_json(v)}' for k, v in obj.items())
         return "{" + items + "}"
@@ -53,7 +56,7 @@ def _to_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
+        return _format_float(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -164,7 +167,10 @@ def cmd_simulate(
         antithetic=antithetic,
     )
     closed = _closed_form_reference(cfg, mode_name, charge, schedule, t_star)
-    z = (est.mean - closed) / est.std_err if est.std_err > 0 else 0.0
+    if 0.0 < est.std_err < math.inf:
+        z = (est.mean - closed) / est.std_err
+    else:
+        z = 0.0 if est.std_err == 0.0 and est.mean == closed else math.nan
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     for index, bundle in enumerate(path_sim.simulate_paths(p, grid, dump_paths, cfg.mc.seed)):
@@ -317,8 +323,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (DomainError, ScheduleDomainError, ConvergenceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError, ConvergenceError, OSError) as exc:
+        hint = "; lower --paths, --steps or --points" if isinstance(exc, MemoryError) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
 
 

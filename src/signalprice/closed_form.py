@@ -29,8 +29,6 @@ Hyperbolic ratios are evaluated through exp/expm1 forms whose exponents are
 all <= 0, so nothing overflows for large sigma_y*T/sigma_z.  sigma_y = 0 is
 handled by the tanh(x)/x -> 1 limit rather than an error, except in
 ``hjb_coefficients`` where the coefficient functions themselves degenerate.
-Value-function exponents saturate to a -inf utility floor past
-``EXPONENT_CAP`` instead of overflowing silently.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ from typing import Callable
 import numpy as np
 
 from .model_core import DomainError, ModelParams, validate
-
-EXPONENT_CAP = 700.0
 
 _LOG2 = math.log(2.0)
 
@@ -86,16 +82,10 @@ def _cosh_cosh_over_cosh(a_arg, b_arg):
     return ea * eb / (2.0 * ec)
 
 
-def utility_from_exponent(exponent, cap: float = EXPONENT_CAP):
-    """-exp(exponent), saturating to -inf when exponent exceeds ``cap``.
-
-    The -inf acts as an explicit utility-floor flag; callers that aggregate
-    utilities count these rather than let them overflow silently.
-    """
-    exponent = np.asarray(exponent, dtype=float)
-    capped = np.where(exponent > cap, np.inf, exponent)
+def utility_from_exponent(exponent):
+    """-exp(exponent): finite up to exponent ~709.78, -inf beyond, without a warning."""
     with np.errstate(over="ignore"):
-        out = -np.exp(capped)
+        out = -np.exp(np.asarray(exponent, dtype=float))
     return out[()]
 
 
@@ -202,7 +192,7 @@ def uninformed_strategy(p: ModelParams, t, y_hat_t):
 
 # --- value functions ---
 
-def value_informed(p: ModelParams, t, x_t, y_t, charge: float = 0.0, cap: float = EXPONENT_CAP):
+def value_informed(p: ModelParams, t, x_t, y_t, charge: float = 0.0):
     """-exp{-gamma(x - charge) + A_I(t)(mu+y)^2 + B_I(t)}.
 
     ``charge`` is the lump fee paid at time 0; pass wealth net of it instead
@@ -215,10 +205,10 @@ def value_informed(p: ModelParams, t, x_t, y_t, charge: float = 0.0, cap: float 
         + coeff_a_informed(p, t) * (p.mu + y) ** 2
         + coeff_b_informed(p, t)
     )
-    return utility_from_exponent(exponent, cap)
+    return utility_from_exponent(exponent)
 
 
-def value_uninformed(p: ModelParams, t, x_t, y_hat_t, cap: float = EXPONENT_CAP):
+def value_uninformed(p: ModelParams, t, x_t, y_hat_t):
     """-exp{-gamma x + A_UI(t)(mu+y_hat)^2 + B_UI(t)}."""
     x = np.asarray(x_t, dtype=float)
     y = np.asarray(y_hat_t, dtype=float)
@@ -227,7 +217,7 @@ def value_uninformed(p: ModelParams, t, x_t, y_hat_t, cap: float = EXPONENT_CAP)
         + coeff_a_uninformed(p, t) * (p.mu + y) ** 2
         + coeff_b_uninformed(p, t)
     )
-    return utility_from_exponent(exponent, cap)
+    return utility_from_exponent(exponent)
 
 
 # --- prices ---
@@ -294,7 +284,6 @@ def single_period_solve(p: ModelParams, charge: float = 0.0) -> SinglePeriodSolu
 
 
 __all__ = [
-    "EXPONENT_CAP",
     "HjbCoefficients",
     "ContinuousPriceResult",
     "SinglePeriodSolution",

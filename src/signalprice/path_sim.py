@@ -39,7 +39,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import signal_filter
-from .closed_form import EXPONENT_CAP, _cosh_cosh_over_cosh, noise_ratio
+from .closed_form import _cosh_cosh_over_cosh, noise_ratio, utility_from_exponent
 from .model_core import (
     DomainError,
     InformationMode,
@@ -324,31 +324,33 @@ def mean_std_err(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte-Carlo mean with its standard error.
-
-    ``n_saturated`` counts paths whose utility exponent exceeded the overflow
-    cap and was floored at -exp(cap); a nonzero count flags an unreliable
-    mean rather than silently clipping.
-    """
+    """Monte-Carlo mean with its standard error."""
 
     mean: float
     std_err: float
     n_paths: int
-    n_saturated: int = 0
 
 
 @dataclass
 class McRun:
-    """Raw per-path utilities plus optional state snapshots at grid indices."""
+    """Per-path terminal exponents -gamma X_T plus optional state snapshots.
 
-    utilities: np.ndarray
-    n_saturated: int
+    The utility of a path is -exp(exponent); keeping the exponent lets
+    log-space aggregates stay finite where the utility overflows.
+    """
+
+    exponents: np.ndarray
     antithetic: bool
     snapshots: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
 
+    @property
+    def utilities(self) -> np.ndarray:
+        """Per-path utilities -exp(-gamma X_T)."""
+        return utility_from_exponent(self.exponents)
+
     def estimate(self) -> McEstimate:
         mean, se = mean_std_err(self.utilities, self.antithetic)
-        return McEstimate(mean, se, self.utilities.shape[0], self.n_saturated)
+        return McEstimate(mean, se, self.exponents.shape[0])
 
 
 @dataclass(frozen=True)
@@ -370,7 +372,7 @@ def mc_multi(
     snapshot_times: tuple[float, ...] = (),
     chunk_size: int = 8192,
 ) -> list[McRun]:
-    """Terminal utilities -exp(-gamma X_T) for several arms on shared paths.
+    """Terminal exponents -gamma X_T for several arms on shared paths.
 
     All arms see identical (seed, index) scenarios (common random numbers);
     only the position rule and charges differ.  Snapshot times are snapped to
@@ -390,8 +392,7 @@ def mc_multi(
 
     runs = [
         McRun(
-            utilities=np.empty(n_paths, dtype=float),
-            n_saturated=0,
+            exponents=np.empty(n_paths, dtype=float),
             antithetic=antithetic,
             snapshots={
                 k: {
@@ -431,29 +432,8 @@ def mc_multi(
                     if needs_filter:
                         snap["y_hat"][paths] = y_hat
         for run, x_T in zip(runs, wealth.x):
-            z_exp = -p.gamma * x_T
-            run.n_saturated += int(np.count_nonzero(z_exp > EXPONENT_CAP))
-            run.utilities[paths] = -np.exp(np.minimum(z_exp, EXPONENT_CAP))
+            run.exponents[paths] = -p.gamma * x_T
     return runs
-
-
-def mc_run(
-    p: ModelParams,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    mode: InformationMode = UNINFORMED,
-    charge: float | RateSchedule = 0.0,
-    antithetic: bool = False,
-    policy: Policy | None = None,
-    snapshot_times: tuple[float, ...] = (),
-    chunk_size: int = 8192,
-) -> McRun:
-    """Single-arm version of ``mc_multi``."""
-    return mc_multi(
-        p, grid, n_paths, seed, [Arm(mode, charge, policy)],
-        antithetic=antithetic, snapshot_times=snapshot_times, chunk_size=chunk_size,
-    )[0]
 
 
 def expected_utility(
@@ -467,11 +447,8 @@ def expected_utility(
     policy: Policy | None = None,
 ) -> McEstimate:
     """Monte-Carlo estimate of E[-exp(-gamma X_T)] under a mode."""
-    run = mc_run(
-        p, grid, n_paths, seed, mode=mode, charge=charge,
-        antithetic=antithetic, policy=policy,
-    )
-    return run.estimate()
+    arm = Arm(mode, charge, policy)
+    return mc_multi(p, grid, n_paths, seed, [arm], antithetic=antithetic)[0].estimate()
 
 
 def write_path_csv(path, t, y, y_hat, s, wealth_columns: dict[str, np.ndarray]) -> None:
@@ -494,7 +471,6 @@ __all__ = [
     "filtered_signal",
     "run_strategy",
     "mc_multi",
-    "mc_run",
     "expected_utility",
     "write_path_csv",
 ]

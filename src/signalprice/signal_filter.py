@@ -56,15 +56,23 @@ def filter_gain(p: ModelParams, t):
     return p.sigma_y * stable_tanh(p.sigma_y / p.sigma_z * np.asarray(t, dtype=float))
 
 
-def _filter_prices(p: ModelParams, t: np.ndarray, s: np.ndarray):
-    """Vectorized filter recursion; the first axis of ``s`` is time.
+def filter_path(p: ModelParams, grid: TimeGrid, s_path: np.ndarray) -> FilteredPath:
+    """Filtered signal along a price path sampled on ``grid``.
 
-    ``s`` has shape (n+1,) or (n+1, m); returns (y_hat, innovations) with
-    shapes matching ``s`` and (n, ...).  The Monte-Carlo step loop
-    (``path_sim._integrate``) evaluates the same recursion in the same order,
-    so filtering a simulated price path reproduces the engine's y_hat bit for
-    bit.
+    Explicit Euler on the innovation recursion:
+    Y_hat[k+1] = Y_hat[k] + g(t_k) * (dS_k - (mu + Y_hat[k]) dt) / sigma_z.
+    ``s_path`` is one path (n+1,) or a time-major batch (n+1, m).  The
+    Monte-Carlo step loop (``path_sim._integrate``) evaluates the same
+    recursion in the same order, so filtering a simulated price path
+    reproduces the engine's y_hat bit for bit.
     """
+    validate(p)
+    s = np.asarray(s_path, dtype=float)
+    t = grid.t
+    if s.shape[0] != t.shape[0]:
+        raise LengthMismatch(
+            f"price path has {s.shape[0]} points, grid has {t.shape[0]}"
+        )
     n = t.shape[0] - 1
     dt = t[1] - t[0]
     gains = filter_gain(p, t[:-1])
@@ -76,23 +84,7 @@ def _filter_prices(p: ModelParams, t: np.ndarray, s: np.ndarray):
         db_hat = (ds - (p.mu + y_hat[k]) * dt) / p.sigma_z
         innov[k] = db_hat
         y_hat[k + 1] = y_hat[k] + gains[k] * db_hat
-    return y_hat, innov
-
-
-def filter_path(p: ModelParams, grid: TimeGrid, s_path: np.ndarray) -> FilteredPath:
-    """Filtered signal along one price path sampled on ``grid``.
-
-    Explicit Euler on the innovation recursion:
-    Y_hat[k+1] = Y_hat[k] + g(t_k) * (dS_k - (mu + Y_hat[k]) dt) / sigma_z.
-    """
-    validate(p)
-    s = np.asarray(s_path, dtype=float)
-    if s.shape[0] != grid.t.shape[0]:
-        raise LengthMismatch(
-            f"price path has {s.shape[0]} points, grid has {grid.t.shape[0]}"
-        )
-    y_hat, innov = _filter_prices(p, grid.t, s)
-    return FilteredPath(t=grid.t, y_hat=y_hat, innovation_increments=innov)
+    return FilteredPath(t=t, y_hat=y_hat, innovation_increments=innov)
 
 
 def hitsuda_kernel(p: ModelParams, t: float, u: float) -> float:

@@ -35,7 +35,6 @@ from .closed_form import (
     noise_ratio,
     rate_bound,
     utility_from_exponent,
-    EXPONENT_CAP,
 )
 from .model_core import DomainError, ModelParams, TimeGrid, validate
 
@@ -225,9 +224,7 @@ def _prepurchase_exponent(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedul
     )
 
 
-def value_prepurchase(
-    p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedule, cap: float = EXPONENT_CAP
-):
+def value_prepurchase(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedule):
     """Conditional value of buying the feed at t and trading informed after.
 
     This is the filtered-information expectation of the informed value,
@@ -235,7 +232,7 @@ def value_prepurchase(
     """
     validate(p)
     schedule.require_cover(float(np.min(np.asarray(t))), p.t_end)
-    return utility_from_exponent(_prepurchase_exponent(p, t, x_t, y_hat_t, schedule), cap)
+    return utility_from_exponent(_prepurchase_exponent(p, t, x_t, y_hat_t, schedule))
 
 
 def value_flexible(
@@ -246,7 +243,6 @@ def value_flexible(
     schedule: RateSchedule,
     grid: TimeGrid,
     tol: float = 1e-9,
-    cap: float = EXPONENT_CAP,
 ):
     """Value when the purchase time may still be chosen, valid on [0, tau_l].
 
@@ -261,7 +257,7 @@ def value_flexible(
         raise DomainError(f"t beyond the latest purchase time {tau_l!r}")
     gap = F[k_l] - np.interp(t, grid.t, F)
     exponent = _prepurchase_exponent(p, t, x_t, y_hat_t, schedule) - p.gamma * gap
-    return utility_from_exponent(exponent, cap)
+    return utility_from_exponent(exponent)
 
 
 def indifference_schedule(p: ModelParams, grid: TimeGrid) -> RateSchedule:

@@ -10,8 +10,8 @@ implementation under test:
   none of the stabilized forms the closed forms use);
 * value functions: seeded Monte-Carlo means with 3-standard-error bands and
   a constant-mean-over-time martingale check at horizon quartiles;
-* lump price: bisection on the charge until the informed and uninformed
-  Monte-Carlo utilities match, with common random numbers across branches;
+* lump price: the charge at which the informed and uninformed Monte-Carlo
+  utilities match, a log ratio of their means under common random numbers;
 * price-filtration kernel: adaptive quadrature residual of the Volterra
   integral identity;
 * filtered-signal position: extended-precision (mpmath) recomputation.
@@ -47,7 +47,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleReport:
-    """One check: passed iff |observed - expected| <= tolerance.
+    """One check: passed iff |observed - expected| <= tolerance, all three finite.
 
     ``detail`` states what was compared and whether the tolerance is
     absolute, relative, or in standard-error units.
@@ -67,8 +67,10 @@ class OracleReport:
 def _report(name, observed, expected, tolerance, detail) -> OracleReport:
     observed = float(observed)
     expected = float(expected)
-    passed = bool(abs(observed - expected) <= tolerance)
-    return OracleReport(name, observed, expected, float(tolerance), passed, detail)
+    tolerance = float(tolerance)
+    finite = math.isfinite(observed) and math.isfinite(expected) and math.isfinite(tolerance)
+    passed = finite and abs(observed - expected) <= tolerance
+    return OracleReport(name, observed, expected, tolerance, passed, detail)
 
 
 # --- one-shot model oracle ---
@@ -135,7 +137,9 @@ def single_period_oracle(p: ModelParams) -> SinglePeriodOracle:
     The uninformed branch maximizes the double Gauss-Hermite sum over the
     (signal, noise) pair; the informed branch runs one inner optimization per
     signal node and sums; the price equates the two branches by bisection to
-    1e-10.
+    1e-10.  Initial wealth scales every utility by exp(-gamma x0) and moves
+    neither the positions nor the price, so the sums leave it out and only
+    ``v_ui`` is scaled by it.
     """
     validate(p)
     z, w = _gh_standard_normal()
@@ -147,7 +151,7 @@ def single_period_oracle(p: ModelParams) -> SinglePeriodOracle:
         phi = np.asarray(phi, dtype=float)
         with np.errstate(over="ignore"):
             vals = -(w2[None, :, :] * np.exp(
-                -p.gamma * (p.x0 + phi[:, None, None] * gains[None, :, :])
+                -p.gamma * (phi[:, None, None] * gains[None, :, :])
             )).sum(axis=(1, 2))
         return vals
 
@@ -158,7 +162,7 @@ def single_period_oracle(p: ModelParams) -> SinglePeriodOracle:
     def v_informed_nodes(phi):
         # phi: one candidate position per signal node; inner sum over noise
         with np.errstate(over="ignore"):
-            expo = -p.gamma * (p.x0 + phi[:, None] * gains)
+            expo = -p.gamma * (phi[:, None] * gains)
             return -(np.exp(expo) * w[None, :]).sum(axis=1)
 
     node_span = 100.0 * (np.abs(p.mu + y_nodes) + 1.0) / (p.gamma * p.sigma_z**2)
@@ -168,8 +172,10 @@ def single_period_oracle(p: ModelParams) -> SinglePeriodOracle:
     def branch_gap(charge):
         return v_informed0 * math.exp(p.gamma * charge) - v_ui
 
+    with np.errstate(over="ignore"):
+        v_ui_x0 = float(v_ui * np.exp(-p.gamma * p.x0))
     if branch_gap(0.0) <= 0.0:
-        return SinglePeriodOracle(phi_ui, v_ui, 0.0)
+        return SinglePeriodOracle(phi_ui, v_ui_x0, 0.0)
     hi = 1.0
     while branch_gap(hi) > 0.0:
         hi *= 2.0
@@ -182,7 +188,7 @@ def single_period_oracle(p: ModelParams) -> SinglePeriodOracle:
             lo = mid
         else:
             hi = mid
-    return SinglePeriodOracle(phi_ui, v_ui, 0.5 * (lo + hi))
+    return SinglePeriodOracle(phi_ui, v_ui_x0, 0.5 * (lo + hi))
 
 
 # --- HJB coefficient ODE oracle ---
@@ -285,8 +291,7 @@ def mc_value_check(
         est = run.estimate()
         detail = (
             f"terminal MC utility vs closed form at t=0 ({label}); tolerance = 3 std errs "
-            f"(abs {3.0 * est.std_err:.3e}), n_paths={n_paths}, seed={seed}, "
-            f"n_saturated={est.n_saturated}"
+            f"(abs {3.0 * est.std_err:.3e}), n_paths={n_paths}, seed={seed}"
         )
         reports.append(_report(f"mc_value_{label}", est.mean, closed0, 3.0 * est.std_err, detail))
         if policy is not None:
@@ -297,8 +302,12 @@ def mc_value_check(
             idx = grid.index_of(t_check)
             values = np.asarray(value_at(grid.t[idx], run.snapshots[idx]))
             mean, se = path_sim.mean_std_err(values, antithetic)
-            z_scores.append((grid.t[idx], (mean - closed0) / se if se > 0 else 0.0))
-        worst = max(abs(z) for _, z in z_scores)
+            if 0.0 < se < math.inf:
+                z = (mean - closed0) / se
+            else:  # no z without a finite spread, unless nothing moved at all
+                z = 0.0 if se == 0.0 and mean == closed0 else math.nan
+            z_scores.append((grid.t[idx], z))
+        worst = float(np.max(np.abs([z for _, z in z_scores])))
         detail = (
             f"max |z| of mean value-function drift from t=0 over quartiles ({label}); "
             + ", ".join(f"t={t:g}: z={z:+.2f}" for t, z in z_scores)
@@ -307,7 +316,7 @@ def mc_value_check(
     return reports
 
 
-def indifference_bisection(
+def indifference_log_ratio(
     p: ModelParams,
     grid: TimeGrid,
     n_paths: int,
@@ -317,47 +326,28 @@ def indifference_bisection(
     """Charge equating informed and uninformed MC utilities, plus half-width.
 
     Both branches are arms of one ``mc_multi`` call on the same seeded paths
-    (common random numbers); the charge only rescales the informed branch by
-    exp(gamma C), so the bisection runs on stored per-path utilities.  The
-    half-width is one paired delta-method standard error of the implied
-    charge; comparisons elsewhere use the usual 3-standard-error band.
+    (common random numbers).  A charge C scales the informed utilities by
+    exp(gamma C), so the root is the log ratio of the mean of exp(exponent)
+    over the two arms, divided by gamma.  Each mean is formed as
+    max e + log(mean exp(e - max e)), which stays finite for any initial
+    wealth.  The half-width is one paired delta-method standard error of the
+    implied charge; comparisons elsewhere use the usual 3-standard-error band.
     """
     validate(p)
-    informed, uninformed = (
-        run.utilities
-        for run in path_sim.mc_multi(
-            p, grid, n_paths, seed,
-            [path_sim.Arm(INFORMED_FROM_START), path_sim.Arm(UNINFORMED)],
-            antithetic=antithetic,
-        )
-    )
-    u_bar = float(np.mean(informed))
-    v_bar = float(np.mean(uninformed))
-
-    def gap(charge: float) -> float:
-        return u_bar * math.exp(p.gamma * charge) - v_bar
-
-    hi = 4.0 * closed_form.rate_bound(p) * p.t_end
-    if gap(0.0) <= 0.0:
-        c_star = 0.0
-    else:
-        if gap(hi) > 0.0:
-            raise ConvergenceError(
-                f"indifference bracket [0, {hi!r}] has no sign change"
-            )
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if gap(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12:
-                break
-        c_star = 0.5 * (lo + hi)
-
-    influence = (uninformed / v_bar - informed / u_bar) / p.gamma
-    _, se = path_sim.mean_std_err(influence, antithetic)
+    log_means, weights = [], []
+    for run in path_sim.mc_multi(
+        p, grid, n_paths, seed,
+        [path_sim.Arm(INFORMED_FROM_START), path_sim.Arm(UNINFORMED)],
+        antithetic=antithetic,
+    ):
+        top = np.max(run.exponents)
+        scaled = np.exp(run.exponents - top)
+        mean = np.mean(scaled)
+        log_means.append(top + math.log(mean))
+        weights.append(scaled / mean)
+    (lme_informed, lme_uninformed), (w_informed, w_uninformed) = log_means, weights
+    c_star = max(0.0, (lme_uninformed - lme_informed) / p.gamma)
+    _, se = path_sim.mean_std_err((w_uninformed - w_informed) / p.gamma, antithetic)
     return float(c_star), se
 
 
@@ -461,14 +451,14 @@ def report_kernel(p: ModelParams, tol: float = 1e-6, n_lattice: int = 20) -> Ora
 def report_indifference(
     p: ModelParams, grid: TimeGrid, n_paths: int, seed: int
 ) -> OracleReport:
-    c_mc, half = indifference_bisection(p, grid, n_paths, seed, antithetic=True)
+    c_mc, half = indifference_log_ratio(p, grid, n_paths, seed, antithetic=True)
     closed = closed_form.continuous_price(p).c_hat_0T
     return _report(
         "mc_indifference_price",
         c_mc,
         closed,
         3.0 * half,
-        f"MC bisection (common random numbers, antithetic, n_paths={n_paths}, "
+        f"MC log ratio (common random numbers, antithetic, n_paths={n_paths}, "
         f"seed={seed}) vs closed form; half-width (1 std err) = {half:.4g}, "
         "tolerance = 3 std errs",
     )
@@ -481,7 +471,7 @@ __all__ = [
     "single_period_oracle",
     "ode_oracle",
     "mc_value_check",
-    "indifference_bisection",
+    "indifference_log_ratio",
     "kernel_identity_residual",
     "highprec_uninformed_strategy",
     "report_single_period",

@@ -56,8 +56,8 @@ def test_criterion_01_continuous_price(params, grid):
     target = 5.0 * math.tanh(2.0)
     exact = abs(closed - target) <= 1e-14 * target
     with Stopwatch() as clock:
-        c_mc, half = vo.indifference_bisection(params, grid, 200_000, SEED,
-                                               antithetic=True)
+        c_mc, half = vo.indifference_log_ratio(params, grid, 200_000, SEED,
+                                                antithetic=True)
     brackets = abs(c_mc - closed) <= half
     tight = half < 0.05
     in_time = clock.elapsed < 120.0

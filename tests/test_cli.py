@@ -48,6 +48,11 @@ class TestJsonSerializer:
         assert _to_json(0.1) == "0.10000000000000001"
         assert _to_json({"a": [1, True, None]}) == '{"a": [1, true, null]}'
 
+    def test_non_finite_floats_are_null(self):
+        assert _to_json([math.inf, -math.inf, math.nan, np.float64("nan")]) == (
+            "[null, null, null, null]"
+        )
+
     def test_roundtrip_idempotent(self):
         obj = {"x": 4.8201379003790832, "flag": True, "items": [1.5, -2.0]}
         text = _to_json(obj)
@@ -273,3 +278,71 @@ class TestVerify:
     def test_zero_paths_exits_2(self, capsys, config_file):
         assert main(["verify", "--config", config_file, "--suite", "all", "--paths", "0"]) == 2
         assert "n_paths" in capsys.readouterr().err
+
+
+def _with_x0(tmp_path, x0):
+    path = tmp_path / f"x0_{x0}.ini"
+    path.write_text(CONFIG.replace("x0 = 0.0", f"x0 = {x0}"))
+    return str(path)
+
+
+class TestNumericalRange:
+    """Large initial wealth: gamma x0 = -705 and -800 push utilities to and past
+    the top of the float range, while prices do not depend on x0."""
+
+    def test_fast_suite_green_for_any_initial_wealth(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "verify", "--config", _with_x0(tmp_path, -7050))
+        assert code == 0
+        assert all(r["passed"] for r in json.loads(out))
+
+    @pytest.mark.parametrize("x0", [-4600, -7050])
+    def test_uncomputable_checks_fail(self, capsys, tmp_path, x0):
+        # at -4600 the utilities (~1e200) are finite but their variance is not;
+        # at -7050 (~1e306) their mean overflows too
+        code, out = run_cli(capsys, "verify", "--config", _with_x0(tmp_path, x0),
+                            "--suite", "all", "--paths", "4096", "--steps", "200")
+        reports = {r["name"]: r for r in json.loads(out)}
+        assert code == 1
+        for r in reports.values():
+            fields = (r["observed"], r["expected"], r["tolerance"])
+            if any(v is None for v in fields):
+                assert not r["passed"], r["name"]
+        for label in ("uninformed", "informed"):
+            assert reports[f"mc_value_{label}"]["tolerance"] is None
+            assert reports[f"mc_martingale_{label}"]["observed"] is None
+            assert not reports[f"mc_value_{label}"]["passed"]
+            assert not reports[f"mc_martingale_{label}"]["passed"]
+        assert reports["mc_indifference_price"]["passed"]
+
+    def test_stdout_stays_json_past_the_float_range(self, capsys, tmp_path):
+        config = _with_x0(tmp_path, -8000)
+        code, out = run_cli(capsys, "simulate", "--config", config, "--paths", "200",
+                            "--steps", "50", "--dump-paths", "0",
+                            "--out", str(tmp_path / "sim"))
+        assert code == 0
+        got = json.loads(out)
+        assert got["closed_form"] is None and got["z_score"] is None
+        code, out = run_cli(capsys, "verify", "--config", config, "--suite", "all",
+                            "--paths", "200", "--steps", "50")
+        assert code == 1
+        assert len(json.loads(out)) == 12
+
+
+class TestUnallocatableSizes:
+    # each array is larger than a 47-bit address space, so no page is touched
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--paths", str(10**15)],
+        ["verify", "--suite", "all", "--paths", str(10**15)],
+        ["price", "--steps", str(10**15)],
+        ["rates", "--points", str(10**15)],
+    ])
+    def test_out_of_memory_exits_2(self, capsys, config_file, tmp_path, argv):
+        code = main([*argv, "--config", config_file, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "--paths, --steps or --points" in capsys.readouterr().err
+
+    def test_beyond_numpy_dimension_limit_exits_2(self, capsys, config_file, tmp_path):
+        code = main(["simulate", "--paths", str(10**20), "--config", config_file,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

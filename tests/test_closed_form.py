@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,9 +28,12 @@ class TestStableHyperbolics:
         assert cf.log_cosh(5000.0) == pytest.approx(5000.0 - math.log(2.0), rel=1e-12)
         assert cf.stable_tanh(500.0) == 1.0
 
-    def test_utility_cap(self):
-        assert cf.utility_from_exponent(699.0) < -1e300
-        assert cf.utility_from_exponent(701.0) == -math.inf
+    def test_utility_range(self):
+        # finite up to log(DBL_MAX) ~ 709.78, -inf beyond it without a warning
+        assert cf.utility_from_exponent(705.0) == -math.exp(705.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cf.utility_from_exponent(710.0) == -math.inf
         assert cf.utility_from_exponent(0.0) == -1.0
 
 

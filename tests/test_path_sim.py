@@ -47,9 +47,8 @@ class TestSimulatePaths:
 
     def test_terminal_signal_variance(self, params):
         grid = make_grid(1.0, 50)
-        run = ps.mc_run(params, grid, 100_000, 5, mode=UNINFORMED,
-                        policy=lambda t, y, yh, inf: 0.0,
-                        snapshot_times=(1.0,))
+        arm = ps.Arm(UNINFORMED, policy=lambda t, y, yh, inf: 0.0)
+        run = ps.mc_multi(params, grid, 100_000, 5, [arm], snapshot_times=(1.0,))[0]
         y_T = run.snapshots[grid.n_steps]["y"]
         assert np.var(y_T, ddof=1) == pytest.approx(params.sigma_y**2 * 1.0, rel=0.03)
 
@@ -118,35 +117,36 @@ class TestEngineConsistency:
                 assert -np.exp(-params.gamma * x[-1]) == run.utilities[i]
 
     def test_chunk_size_invariance(self, params, coarse_grid):
-        a = ps.mc_run(params, coarse_grid, 10, 9, mode=UNINFORMED, chunk_size=3)
-        b = ps.mc_run(params, coarse_grid, 10, 9, mode=UNINFORMED, chunk_size=10)
+        a = ps.mc_multi(params, coarse_grid, 10, 9, [ps.Arm(UNINFORMED)], chunk_size=3)[0]
+        b = ps.mc_multi(params, coarse_grid, 10, 9, [ps.Arm(UNINFORMED)], chunk_size=10)[0]
         assert np.array_equal(a.utilities, b.utilities)
 
     def test_antithetic_mirrors_pairs(self, params, coarse_grid):
-        run = ps.mc_run(params, coarse_grid, 4, 9, mode=UNINFORMED, antithetic=True,
-                        policy=lambda t, y, yh, inf: 0.0,
-                        snapshot_times=(1.0,))
+        arm = ps.Arm(UNINFORMED, policy=lambda t, y, yh, inf: 0.0)
+        run = ps.mc_multi(params, coarse_grid, 4, 9, [arm], antithetic=True,
+                          snapshot_times=(1.0,))[0]
         y_T = run.snapshots[coarse_grid.n_steps]["y"]
         assert y_T[1] == -y_T[0] and y_T[3] == -y_T[2]
 
     def test_antithetic_requires_even_paths(self, params, coarse_grid):
         with pytest.raises(DomainError):
-            ps.mc_run(params, coarse_grid, 5, 9, antithetic=True)
+            ps.mc_multi(params, coarse_grid, 5, 9, [ps.Arm()], antithetic=True)
 
     def test_minimum_path_count(self, params, coarse_grid):
         with pytest.raises(DomainError):
-            ps.mc_run(params, coarse_grid, 1, 9)
+            ps.mc_multi(params, coarse_grid, 1, 9, [ps.Arm()])
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_64_bits_rejected(self, params, coarse_grid, seed):
         with pytest.raises(DomainError, match="seed"):
-            ps.mc_run(params, coarse_grid, 2, seed)
+            ps.mc_multi(params, coarse_grid, 2, seed, [ps.Arm()])
         with pytest.raises(DomainError, match="seed"):
             next(ps.simulate_paths(params, coarse_grid, 1, seed))
 
     def test_largest_seed_accepted(self, params, coarse_grid):
-        top = ps.mc_run(params, coarse_grid, 2, 2**64 - 1).utilities
-        assert not np.array_equal(top, ps.mc_run(params, coarse_grid, 2, 0).utilities)
+        top, zero = (ps.mc_multi(params, coarse_grid, 2, seed, [ps.Arm()])[0].utilities
+                     for seed in (2**64 - 1, 0))
+        assert not np.array_equal(top, zero)
 
 
 class TestExpectedUtility:
@@ -155,7 +155,6 @@ class TestExpectedUtility:
                                   policy=lambda t, y, yh, inf: 0.0)
         assert est.mean == -math.exp(-params.gamma * params.x0) == -1.0
         assert est.std_err == 0.0
-        assert est.n_saturated == 0
 
     def test_zero_policy_degenerate_any_wealth_and_aversion(self, coarse_grid):
         p = dyadic_params(mu=0.25, sigma_y=0.5, sigma_z=0.5, gamma=2.0, x0=1.5)

@@ -112,8 +112,8 @@ N_STEPS = 100
 def ensemble(params):
     grid = make_grid(1.0, N_STEPS)
     y, s = _batch_paths(params, grid, N_PATHS, 99)
-    y_hat, innov = sf._filter_prices(params, grid.t, s)
-    return grid, y, y_hat, innov
+    filtered = sf.filter_path(params, grid, s)
+    return grid, y, filtered.y_hat, filtered.innovation_increments
 
 
 class TestEnsembleMoments:

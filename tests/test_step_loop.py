@@ -17,11 +17,12 @@ import pytest
 from signalprice import INFORMED_FROM_START, UNINFORMED, make_grid, subscribe_at
 from signalprice import closed_form as cf
 from signalprice import path_sim as ps
-from signalprice.closed_form import EXPONENT_CAP, _cosh_cosh_over_cosh, noise_ratio
+from signalprice.closed_form import _cosh_cosh_over_cosh, noise_ratio
 from signalprice.signal_filter import filter_gain
 from signalprice.subscription_timing import RateSchedule
 
 SEED = 11
+EXPONENT_CAP = 700.0  # the staged engine clamped utility exponents here
 
 
 # --- frozen staged oracle ---

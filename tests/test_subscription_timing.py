@@ -251,8 +251,8 @@ class TestPrepurchaseValue:
 
         sched = schedules["bump"]
         t_check = 0.5
-        run = ps.mc_run(params, grid, 100_000, 31, mode=UNINFORMED,
-                        snapshot_times=(t_check,))
+        run = ps.mc_multi(params, grid, 100_000, 31, [ps.Arm(UNINFORMED)],
+                          snapshot_times=(t_check,))[0]
         snap = run.snapshots[grid.index_of(t_check)]
         x, y, y_hat = snap["x"], snap["y"], snap["y_hat"]
         cost = sched.integral(t_check, 1.0)

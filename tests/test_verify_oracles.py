@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from signalprice import (
@@ -28,6 +29,13 @@ class TestOracleReport:
         ok = vo._report("x", 1.0, 1.005, 0.01, "abs")
         bad = vo._report("x", 1.0, 1.05, 0.01, "abs")
         assert ok.passed and not bad.passed
+
+    @pytest.mark.parametrize("fields", [
+        (math.nan, 0.0, 3.0), (-1e304, -math.inf, math.inf), (0.0, 0.0, math.inf),
+        (-math.inf, -math.inf, 1.0),
+    ])
+    def test_non_finite_never_passes(self, fields):
+        assert not vo._report("x", *fields, "abs").passed
 
     def test_json_roundtrip(self):
         r = vo._report("check", 0.5, 0.5, 1e-9, "absolute")
@@ -129,22 +137,22 @@ class TestMcValueCheck:
         assert [r.as_dict() for r in both] == [r.as_dict() for r in apart]
 
 
-class TestIndifferenceBisection:
+class TestIndifferenceLogRatio:
     def test_brackets_closed_form(self, params):
         grid = make_grid(1.0, 500)
-        c_mc, half = vo.indifference_bisection(params, grid, 30_000, 5)
+        c_mc, half = vo.indifference_log_ratio(params, grid, 30_000, 5)
         closed = cf.continuous_price(params).c_hat_0T
         assert abs(c_mc - closed) <= 3.0 * half
 
     def test_zero_signal_noise_gives_zero(self, coarse_grid):
         p = make_params(sigma_y=0.0)
-        c_mc, _ = vo.indifference_bisection(p, coarse_grid, 2_000, 5)
+        c_mc, _ = vo.indifference_log_ratio(p, coarse_grid, 2_000, 5)
         assert c_mc == 0.0
 
     def test_halves_when_gamma_doubles(self, params):
         grid = make_grid(1.0, 500)
-        c_base, half_base = vo.indifference_bisection(params, grid, 30_000, 5)
-        c_2g, half_2g = vo.indifference_bisection(make_params(gamma=0.2), grid, 30_000, 5)
+        c_base, half_base = vo.indifference_log_ratio(params, grid, 30_000, 5)
+        c_2g, half_2g = vo.indifference_log_ratio(make_params(gamma=0.2), grid, 30_000, 5)
         band = 3.0 * math.hypot(half_base, 2.0 * half_2g)
         assert abs(2.0 * c_2g - c_base) <= band
 
@@ -153,16 +161,38 @@ class TestIndifferenceBisection:
         r = vo.report_indifference(params, grid, 30_000, 5)
         assert r.passed
 
+    def test_is_the_root_of_the_utility_gap(self, params, coarse_grid):
+        # the charge C* that makes E[U_I] exp(gamma C*) = E[U_UI], as a bisection finds it
+        c_star, _ = vo.indifference_log_ratio(params, coarse_grid, 2_000, 5)
+        informed, uninformed = ps.mc_multi(
+            params, coarse_grid, 2_000, 5,
+            [ps.Arm(INFORMED_FROM_START), ps.Arm(UNINFORMED)], antithetic=True,
+        )
+        ratio = np.mean(informed.utilities) * math.exp(params.gamma * c_star)
+        assert ratio / np.mean(uninformed.utilities) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("x0, rel", [(-7050.0, 1e-9), (-1e6, 1e-6)])
+    def test_initial_wealth_cancels(self, params, x0, rel):
+        # gamma x0 = -705 puts the utilities near the top of the float range;
+        # at -1e6 they are far past it, but the exponents stay finite
+        grid = make_grid(1.0, 200)
+        base = vo.indifference_log_ratio(params, grid, 4096, 12)
+        shifted = make_params(x0=x0)
+        c_mc, half = vo.indifference_log_ratio(shifted, grid, 4096, 12)
+        assert c_mc == pytest.approx(base[0], rel=rel)
+        assert half == pytest.approx(base[1], rel=rel)
+        assert vo.report_indifference(shifted, grid, 4096, 12).passed
+
     def test_shared_draw_matches_separate_runs(self, params, coarse_grid, monkeypatch):
-        shared = vo.indifference_bisection(params, coarse_grid, 2_000, 5)
+        shared = vo.indifference_log_ratio(params, coarse_grid, 2_000, 5)
         engine = ps.mc_multi
 
         def separate_runs(p, grid, n_paths, seed, arms, **kwargs):
-            # one antithetic mc_run call per arm, each drawing its own paths
+            # one antithetic single-arm mc_multi call per arm, each drawing its own paths
             return [engine(p, grid, n_paths, seed, [arm], **kwargs)[0] for arm in arms]
 
         monkeypatch.setattr(ps, "mc_multi", separate_runs)
-        assert vo.indifference_bisection(params, coarse_grid, 2_000, 5) == shared
+        assert vo.indifference_log_ratio(params, coarse_grid, 2_000, 5) == shared
 
 
 class TestHighPrecisionStrategy:
