@@ -9,10 +9,8 @@ numerical oracles that cross-check every formula.
 
 from .closed_form import (
     ContinuousPriceResult,
-    HjbCoefficients,
     SinglePeriodSolution,
     continuous_price,
-    hjb_coefficients,
     informed_strategy,
     single_period_solve,
     uninformed_strategy,
@@ -48,6 +46,7 @@ from .subscription_timing import (
     ell,
     indifference_rate,
     latest_time,
+    value_committed,
     value_flexible,
     value_prepurchase,
 )
@@ -67,10 +66,8 @@ __all__ = [
     "make_grid",
     "load_config",
     "ContinuousPriceResult",
-    "HjbCoefficients",
     "SinglePeriodSolution",
     "continuous_price",
-    "hjb_coefficients",
     "informed_strategy",
     "uninformed_strategy",
     "single_period_solve",
@@ -93,5 +90,6 @@ __all__ = [
     "latest_time",
     "earliest_time",
     "value_prepurchase",
+    "value_committed",
     "value_flexible",
 ]

@@ -34,7 +34,6 @@ from .model_core import (
     subscribe_at,
 )
 from .subscription_timing import RateSchedule
-from .verify_oracles import ConvergenceError
 
 
 def _format_float(x: float) -> str:
@@ -128,17 +127,14 @@ def _closed_form_reference(cfg: RunConfig, mode_name, charge, schedule, t_star):
     """Closed-form t = 0 value of the strategy the run simulates.
 
     In subscribe mode that is the committed purchase at the grid point
-    nearest ``t_star``: the value of buying at 0, discounted by the timing
-    profile there, -exp(pre(0) - gamma F(t*)).
+    nearest ``t_star``.
     """
     p, grid = cfg.params, cfg.grid
     if mode_name == "uninformed":
         return float(closed_form.value_uninformed(p, 0.0, p.x0, p.y0))
     if mode_name == "informed":
         return float(closed_form.value_informed(p, 0.0, p.x0, p.y0, charge))
-    pre0 = float(subscription_timing.value_prepurchase(p, 0.0, p.x0, p.y0, schedule))
-    profile = subscription_timing.profile(p, schedule, grid)
-    return pre0 * math.exp(-p.gamma * profile[grid.index_of(t_star)])
+    return subscription_timing.value_committed(p, t_star, schedule, grid)
 
 
 def cmd_simulate(
@@ -167,10 +163,7 @@ def cmd_simulate(
         antithetic=antithetic,
     )
     closed = _closed_form_reference(cfg, mode_name, charge, schedule, t_star)
-    if 0.0 < est.std_err < math.inf:
-        z = (est.mean - closed) / est.std_err
-    else:
-        z = 0.0 if est.std_err == 0.0 and est.mean == closed else math.nan
+    z = path_sim.z_score(est.mean, est.std_err, closed)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     for index, bundle in enumerate(path_sim.simulate_paths(p, grid, dump_paths, cfg.mc.seed)):
@@ -323,7 +316,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (ValueError, MemoryError, ConvergenceError, OSError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         hint = "; lower --paths, --steps or --points" if isinstance(exc, MemoryError) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2

@@ -27,8 +27,7 @@ and the lump price of the feed over [0, T] is
 
 Hyperbolic ratios are evaluated through exp/expm1 forms whose exponents are
 all <= 0, so nothing overflows for large sigma_y*T/sigma_z.  sigma_y = 0 is
-handled by the tanh(x)/x -> 1 limit rather than an error, except in
-``hjb_coefficients`` where the coefficient functions themselves degenerate.
+handled by the tanh(x)/x -> 1 limit rather than an error.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model_core import DomainError, ModelParams, validate
+from .model_core import ModelParams
 
 _LOG2 = math.log(2.0)
 
@@ -144,37 +143,6 @@ def coeff_b_uninformed(p: ModelParams, t):
     return term1 + term2 + term3
 
 
-@dataclass(frozen=True)
-class HjbCoefficients:
-    """Time-dependent exponent coefficients, zero at the horizon."""
-
-    a_informed: Callable[[float], float]
-    b_informed: Callable[[float], float]
-    a_uninformed: Callable[[float], float]
-    b_uninformed: Callable[[float], float]
-
-
-def hjb_coefficients(p: ModelParams) -> HjbCoefficients:
-    """The four coefficient functions on [0, T].
-
-    Requires sigma_y > 0; at sigma_y = 0 the B-coefficients vanish and both
-    A-coefficients reduce to the linear limit -(T-t)/(2 sigma_z^2), which the
-    individual ``coeff_*`` evaluators return.
-    """
-    validate(p)
-    if p.sigma_y == 0.0:
-        raise DomainError(
-            "sigma_y must be > 0 for hjb_coefficients; at sigma_y = 0 the "
-            "coefficients degenerate to A(t) = -(T-t)/(2 sigma_z^2), B = 0"
-        )
-    return HjbCoefficients(
-        a_informed=lambda t: coeff_a_informed(p, t),
-        b_informed=lambda t: coeff_b_informed(p, t),
-        a_uninformed=lambda t: coeff_a_uninformed(p, t),
-        b_uninformed=lambda t: coeff_b_uninformed(p, t),
-    )
-
-
 # --- strategies ---
 
 def informed_strategy(p: ModelParams, t, y_t):
@@ -237,7 +205,6 @@ def continuous_price(p: ModelParams) -> ContinuousPriceResult:
     c_bar = price / T is the flat per-time rate; it never exceeds
     sigma_y / (4 gamma sigma_z).
     """
-    validate(p)
     bound = rate_bound(p)
     c_bar = bound * float(stable_tanh(noise_ratio(p) * p.t_end))
     return ContinuousPriceResult(c_hat_0T=c_bar * p.t_end, c_bar=c_bar, c_bar_bound=bound)
@@ -262,7 +229,6 @@ class SinglePeriodSolution:
 
 def single_period_solve(p: ModelParams, charge: float = 0.0) -> SinglePeriodSolution:
     """Solve the one-shot model (sigma_y, sigma_z as one-period deviations)."""
-    validate(p)
     var_sum = p.sigma_y**2 + p.sigma_z**2
     quad = (p.mu + p.y0) ** 2 / (2.0 * var_sum)
     log_term = math.log1p(p.sigma_y**2 / p.sigma_z**2)
@@ -284,7 +250,6 @@ def single_period_solve(p: ModelParams, charge: float = 0.0) -> SinglePeriodSolu
 
 
 __all__ = [
-    "HjbCoefficients",
     "ContinuousPriceResult",
     "SinglePeriodSolution",
     "log_cosh",
@@ -296,7 +261,6 @@ __all__ = [
     "coeff_b_informed",
     "coeff_a_uninformed",
     "coeff_b_uninformed",
-    "hjb_coefficients",
     "informed_strategy",
     "uninformed_strategy",
     "value_informed",

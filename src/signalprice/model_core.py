@@ -1,7 +1,8 @@
-"""Shared model inputs: validated parameter sets, time grids, information modes.
+"""Shared model inputs: parameter sets, time grids, information modes.
 
-Everything here is immutable after construction and safe to share across
-workers.  All other modules take these types as inputs and never mutate them.
+Every type here is immutable.  ``ModelParams`` and ``InformationMode`` check
+their domain when built (``dataclasses.replace`` included), so every other
+module takes them as valid and never re-checks or mutates them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ class ModelParams:
     y0: float
     s0: float
     t_end: float
+
+    def __post_init__(self):
+        validate(self)
 
 
 def validate(params: ModelParams) -> ModelParams:
@@ -115,6 +119,11 @@ class InformationMode:
 
     subscribe_time: float | None = None
 
+    def __post_init__(self):
+        t_star = self.subscribe_time
+        if t_star is not None and (not math.isfinite(t_star) or t_star < 0.0):
+            raise DomainError(f"subscribe time must be finite and >= 0, got {t_star!r}")
+
     def is_informed_at(self, time: float) -> bool:
         return self.subscribe_time is not None and time >= self.subscribe_time
 
@@ -131,8 +140,6 @@ INFORMED_FROM_START = InformationMode(0.0)
 
 def subscribe_at(t_star: float) -> InformationMode:
     """Mode that purchases the signal feed at time ``t_star``."""
-    if not math.isfinite(t_star) or t_star < 0.0:
-        raise DomainError(f"subscribe time must be finite and >= 0, got {t_star!r}")
     return InformationMode(float(t_star))
 
 
@@ -203,17 +210,15 @@ def parse_config(text: str) -> tuple[ModelParams, TimeGrid, McSettings]:
             raise DomainError(f"config [{section}] {key}: must be an integer, got {v!r}")
         return int(v)
 
-    params = validate(
-        ModelParams(
-            mu=values["model"]["mu"],
-            sigma_y=values["model"]["sigma_y"],
-            sigma_z=values["model"]["sigma_z"],
-            gamma=values["investor"]["gamma"],
-            x0=values["investor"]["x0"],
-            y0=values["model"]["y0"],
-            s0=values["model"]["s0"],
-            t_end=values["horizon"]["t_end"],
-        )
+    params = ModelParams(
+        mu=values["model"]["mu"],
+        sigma_y=values["model"]["sigma_y"],
+        sigma_z=values["model"]["sigma_z"],
+        gamma=values["investor"]["gamma"],
+        x0=values["investor"]["x0"],
+        y0=values["model"]["y0"],
+        s0=values["model"]["s0"],
+        t_end=values["horizon"]["t_end"],
     )
     grid = make_grid(params.t_end, as_int("horizon", "steps"))
     mc = McSettings(n_paths=as_int("mc", "paths"), seed=as_int("mc", "seed"))

@@ -27,7 +27,8 @@ evaluates ``signal_filter.filter_path``'s recursion in the same order, so
 ``filtered_signal`` matches the engine's filtered signal too.
 ``mc_multi`` evaluates several (mode, charge) arms on one shared set of
 paths: common random numbers for indifference comparisons.
-``mean_std_err`` is the one standard-error rule, pairing antithetic values.
+``mean_std_err`` is the one standard-error rule, pairing antithetic values,
+and ``z_score`` the one rule for a z against a reference.
 """
 
 from __future__ import annotations
@@ -322,6 +323,14 @@ def mean_std_err(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
     return float(np.mean(values)), float(se)
 
 
+def z_score(mean: float, std_err: float, reference: float) -> float:
+    """(mean - reference) / std_err for a finite positive std_err; else 0 when
+    nothing moved at all (std_err = 0, mean = reference) and nan otherwise."""
+    if 0.0 < std_err < math.inf:
+        return (mean - reference) / std_err
+    return 0.0 if std_err == 0.0 and mean == reference else math.nan
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """Monte-Carlo mean with its standard error."""
@@ -467,6 +476,7 @@ __all__ = [
     "McRun",
     "Arm",
     "mean_std_err",
+    "z_score",
     "simulate_paths",
     "filtered_signal",
     "run_strategy",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import stable_tanh
-from .model_core import ModelParams, TimeGrid, validate
+from .model_core import ModelParams, TimeGrid
 
 
 class LengthMismatch(ValueError):
@@ -66,7 +66,6 @@ def filter_path(p: ModelParams, grid: TimeGrid, s_path: np.ndarray) -> FilteredP
     recursion in the same order, so filtering a simulated price path
     reproduces the engine's y_hat bit for bit.
     """
-    validate(p)
     s = np.asarray(s_path, dtype=float)
     t = grid.t
     if s.shape[0] != t.shape[0]:
@@ -104,7 +103,6 @@ def kalman_oracle(p: ModelParams, grid: TimeGrid, s_path: np.ndarray) -> Filtere
     Gains are per observation on the raw increment.  ``s_path`` may be a
     single path (n+1,) or a time-major batch (n+1, m).
     """
-    validate(p)
     s = np.asarray(s_path, dtype=float)
     if s.shape[0] != grid.t.shape[0]:
         raise LengthMismatch(

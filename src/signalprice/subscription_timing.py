@@ -18,12 +18,14 @@ is the full grid instead of being polluted by O(dt^2) mismatch between exact
 and sampled integrals.
 
 Value functions: ``value_prepurchase`` is the conditional value of buying
-right now and trading informed to the horizon; ``value_flexible`` adds the
-option to wait, and exceeds it by the factor exp(gamma * (F(tau_l) - F(t))).
+right now and trading informed to the horizon; ``value_committed`` fixes the
+purchase at t*; ``value_flexible`` adds the option to wait, and exceeds
+``value_prepurchase`` by the factor exp(gamma * (F(tau_l) - F(t))).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,7 @@ from .closed_form import (
     rate_bound,
     utility_from_exponent,
 )
-from .model_core import DomainError, ModelParams, TimeGrid, validate
+from .model_core import DomainError, ModelParams, TimeGrid
 
 
 class ScheduleDomainError(ValueError):
@@ -145,7 +147,6 @@ def indifference_rate(p: ModelParams, t):
 
 def profile(p: ModelParams, schedule: RateSchedule, grid: TimeGrid) -> np.ndarray:
     """F(t_k) = int_0^{t_k} (c - c_bar + ell) ds by the trapezoid rule."""
-    validate(p)
     schedule.require_cover(0.0, grid.t_end)
     g = schedule(grid.t) - continuous_price(p).c_bar + ell(p, grid.t)
     steps = 0.5 * (g[:-1] + g[1:]) * grid.dt
@@ -230,9 +231,21 @@ def value_prepurchase(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedule):
     This is the filtered-information expectation of the informed value,
     including the remaining subscription cost int_t^T c.
     """
-    validate(p)
     schedule.require_cover(float(np.min(np.asarray(t))), p.t_end)
     return utility_from_exponent(_prepurchase_exponent(p, t, x_t, y_hat_t, schedule))
+
+
+def value_committed(
+    p: ModelParams, t_star: float, schedule: RateSchedule, grid: TimeGrid
+) -> float:
+    """Value at t = 0 of committing to buy the feed at the grid point nearest t*.
+
+    -exp(pre(0) - gamma F(t*)): the value of buying at 0, discounted by the
+    timing profile.  Equals ``value_flexible`` at t = 0 when t* = tau_l and is
+    at most that at any other t*.
+    """
+    pre0 = float(value_prepurchase(p, 0.0, p.x0, p.y0, schedule))
+    return pre0 * math.exp(-p.gamma * profile(p, schedule, grid)[grid.index_of(t_star)])
 
 
 def value_flexible(
@@ -249,7 +262,6 @@ def value_flexible(
     Exceeds ``value_prepurchase`` by the factor exp(gamma (F(tau_l) - F(t)))
     and matches it exactly where immediate purchase is optimal.
     """
-    validate(p)
     t = np.asarray(t, dtype=float)
     F, k_l, _ = _solve(p, schedule, grid, tol)
     tau_l = grid.t[k_l]
@@ -301,6 +313,7 @@ __all__ = [
     "latest_time",
     "earliest_time",
     "value_prepurchase",
+    "value_committed",
     "value_flexible",
     "indifference_schedule",
     "bumped_schedule",

@@ -4,7 +4,8 @@ Each oracle reaches the quantity it checks by a different route than the
 implementation under test:
 
 * one-shot model: Gauss-Hermite quadrature of the expected utility plus
-  golden-section search over the position, price by bisection;
+  golden-section search over the position, price as the log ratio of the
+  informed and uninformed values;
 * HJB exponent coefficients: classical 4th-order Runge-Kutta integration of
   the defining ODEs backward from the horizon (plain tanh/cosh arithmetic,
   none of the stabilized forms the closed forms use);
@@ -26,7 +27,6 @@ from typing import Callable, NamedTuple, Sequence
 import mpmath
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.integrate import quad
 
 from . import closed_form, path_sim, signal_filter
 from .model_core import (
@@ -37,12 +37,7 @@ from .model_core import (
     TimeGrid,
     UNINFORMED,
     make_grid,
-    validate,
 )
-
-
-class ConvergenceError(RuntimeError):
-    """A search bracket failed to contain the root."""
 
 
 @dataclass(frozen=True)
@@ -136,12 +131,13 @@ def single_period_oracle(p: ModelParams) -> SinglePeriodOracle:
 
     The uninformed branch maximizes the double Gauss-Hermite sum over the
     (signal, noise) pair; the informed branch runs one inner optimization per
-    signal node and sums; the price equates the two branches by bisection to
-    1e-10.  Initial wealth scales every utility by exp(-gamma x0) and moves
-    neither the positions nor the price, so the sums leave it out and only
-    ``v_ui`` is scaled by it.
+    signal node and sums.  A charge C scales the informed value by
+    exp(gamma C), so the price that equates the two branches is the log ratio
+    of their values over gamma, as in ``indifference_log_ratio``.  Initial
+    wealth scales every utility by exp(-gamma x0) and moves neither the
+    positions nor the price, so the sums leave it out and only ``v_ui`` is
+    scaled by it.
     """
-    validate(p)
     z, w = _gh_standard_normal()
     y_nodes = p.y0 + p.sigma_y * z
     gains = p.mu + y_nodes[:, None] + p.sigma_z * z[None, :]  # (signal, noise)
@@ -169,26 +165,11 @@ def single_period_oracle(p: ModelParams) -> SinglePeriodOracle:
     _, v_nodes = _golden_max(v_informed_nodes, -node_span, node_span)
     v_informed0 = float(np.dot(w, v_nodes))  # informed value at zero charge
 
-    def branch_gap(charge):
-        return v_informed0 * math.exp(p.gamma * charge) - v_ui
-
-    with np.errstate(over="ignore"):
+    # numpy turns a zero or non-finite value into inf or nan; np.maximum keeps a nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         v_ui_x0 = float(v_ui * np.exp(-p.gamma * p.x0))
-    if branch_gap(0.0) <= 0.0:
-        return SinglePeriodOracle(phi_ui, v_ui_x0, 0.0)
-    hi = 1.0
-    while branch_gap(hi) > 0.0:
-        hi *= 2.0
-        if hi > 2.0**40:
-            raise ConvergenceError("no sign change for the one-shot price bisection")
-    lo = 0.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if branch_gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return SinglePeriodOracle(phi_ui, v_ui_x0, 0.5 * (lo + hi))
+        c_hat = np.maximum(0.0, (np.log(-v_ui) - np.log(-v_informed0)) / p.gamma)
+    return SinglePeriodOracle(phi_ui, v_ui_x0, float(c_hat))
 
 
 # --- HJB coefficient ODE oracle ---
@@ -204,7 +185,6 @@ def ode_oracle(p: ModelParams, grid: TimeGrid) -> dict[str, float]:
     with h(t) = tanh(sy t / sz), using plain numpy hyperbolics so the
     arithmetic shares nothing with the stabilized closed forms.
     """
-    validate(p)
     sy, sz = p.sigma_y, p.sigma_z
 
     def rhs(t, u):
@@ -266,7 +246,6 @@ def mc_value_check(
     martingale must.  ``reference`` overrides the closed form of every mode
     (used with the ``policy`` test hook, where no closed form applies).
     """
-    validate(p)
     if any(mode not in (UNINFORMED, INFORMED_FROM_START) for mode in modes):
         raise DomainError("mc_value_check supports the uninformed and informed-from-start modes")
 
@@ -302,11 +281,7 @@ def mc_value_check(
             idx = grid.index_of(t_check)
             values = np.asarray(value_at(grid.t[idx], run.snapshots[idx]))
             mean, se = path_sim.mean_std_err(values, antithetic)
-            if 0.0 < se < math.inf:
-                z = (mean - closed0) / se
-            else:  # no z without a finite spread, unless nothing moved at all
-                z = 0.0 if se == 0.0 and mean == closed0 else math.nan
-            z_scores.append((grid.t[idx], z))
+            z_scores.append((grid.t[idx], path_sim.z_score(mean, se, closed0)))
         worst = float(np.max(np.abs([z for _, z in z_scores])))
         detail = (
             f"max |z| of mean value-function drift from t=0 over quartiles ({label}); "
@@ -333,7 +308,6 @@ def indifference_log_ratio(
     wealth.  The half-width is one paired delta-method standard error of the
     implied charge; comparisons elsewhere use the usual 3-standard-error band.
     """
-    validate(p)
     log_means, weights = [], []
     for run in path_sim.mc_multi(
         p, grid, n_paths, seed,
@@ -359,7 +333,10 @@ def kernel_identity_residual(p: ModelParams, n_lattice: int = 20) -> float:
     Evaluated by adaptive quadrature on an n x n (t, u) lattice restricted to
     u <= t; an exact kernel makes this identically zero.
     """
-    validate(p)
+    # imported here, its only use: scipy.integrate costs most of the package's
+    # import time, which every other command would pay without using it
+    from scipy.integrate import quad
+
     times = np.linspace(0.0, p.t_end, n_lattice)
     worst = 0.0
     for t in times:
@@ -465,7 +442,6 @@ def report_indifference(
 
 
 __all__ = [
-    "ConvergenceError",
     "OracleReport",
     "SinglePeriodOracle",
     "single_period_oracle",

@@ -200,11 +200,17 @@ def test_criterion_09_mc_timing_optimality(params, grid):
         min(m.mean for m in middle) - e.mean > 3.0 * math.hypot(e.std_err, middle[0].std_err)
         for e in edges
     )
+    # each purchase time against its own committed-purchase closed form
+    z = {
+        t: ps.z_score(e.mean, e.std_err, st.value_committed(params, t, sched, grid))
+        for t, e in estimates.items()
+    }
+    own_ok = all(abs(v) <= 3.0 for v in z.values())
     in_time = clock.elapsed < 300.0
-    detail = ", ".join(f"t*={t}: {estimates[t].mean:.4f}" for t in t_stars)
-    report(9, plateau_ok and edges_ok and in_time,
+    detail = ", ".join(f"t*={t}: {estimates[t].mean:.4f} (z {z[t]:+.2f})" for t in t_stars)
+    report(9, plateau_ok and edges_ok and own_ok and in_time,
            f"{detail}; plateau within 3 pooled SE, edges strictly below, "
-           f"{clock.elapsed:.0f}s")
+           f"each t* within 3 SE of its closed form, {clock.elapsed:.0f}s")
 
 
 def test_criterion_10_property_lattice(params):

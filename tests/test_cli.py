@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import signalprice
 from signalprice import closed_form as cf
 from signalprice import subscription_timing as st
 from signalprice.cli import _to_json, main
@@ -58,6 +62,23 @@ class TestJsonSerializer:
         text = _to_json(obj)
         parsed = json.loads(text)
         assert json.loads(_to_json(parsed)) == parsed
+
+
+def test_price_does_not_import_scipy(config_file):
+    # scipy serves only the kernel oracle of verify; importing it costs most
+    # of the start-up time of every other command
+    src = os.path.dirname(os.path.dirname(signalprice.__file__))
+    code = (
+        "import sys\n"
+        "from signalprice.cli import main\n"
+        f"main(['price', '--config', {config_file!r}])\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestPrice:
@@ -278,6 +299,19 @@ class TestVerify:
     def test_zero_paths_exits_2(self, capsys, config_file):
         assert main(["verify", "--config", config_file, "--suite", "all", "--paths", "0"]) == 2
         assert "n_paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma_y", ["1.0", "1000.0"])
+    def test_unresolved_one_shot_price_fails_as_a_report(self, capsys, tmp_path, sigma_y):
+        # at sigma_z = 0.001 the quadrature loses the informed branch and the
+        # oracle price is infinite; the check fails instead of raising
+        path = tmp_path / "sharp.ini"
+        path.write_text(CONFIG.replace("sigma_y = 0.1", f"sigma_y = {sigma_y}")
+                        .replace("sigma_z = 0.05", "sigma_z = 0.001"))
+        code, out = run_cli(capsys, "verify", "--config", str(path))
+        assert code == 1
+        reports = {r["name"]: r for r in json.loads(out)}
+        assert reports["single_period_price"]["observed"] is None
+        assert not reports["single_period_price"]["passed"]
 
 
 def _with_x0(tmp_path, x0):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from signalprice import DomainError, ModelParams, validate
+from signalprice import ModelParams, validate
 from signalprice import closed_form as cf
 
 
@@ -75,16 +75,14 @@ class TestSinglePeriod:
 
 class TestHjbCoefficients:
     def test_terminal_conditions_zero(self, params):
-        coeffs = cf.hjb_coefficients(params)
-        for fn in (coeffs.a_informed, coeffs.b_informed,
-                   coeffs.a_uninformed, coeffs.b_uninformed):
-            assert fn(params.t_end) == 0.0
+        for fn in (cf.coeff_a_informed, cf.coeff_b_informed,
+                   cf.coeff_a_uninformed, cf.coeff_b_uninformed):
+            assert fn(params, params.t_end) == 0.0
 
     def test_a_coefficients_nonpositive(self, params):
         t = np.linspace(0.0, 1.0, 101)
-        coeffs = cf.hjb_coefficients(params)
-        assert np.all(coeffs.a_informed(t) <= 0.0)
-        assert np.all(coeffs.a_uninformed(t) <= 0.0)
+        assert np.all(cf.coeff_a_informed(params, t) <= 0.0)
+        assert np.all(cf.coeff_a_uninformed(params, t) <= 0.0)
 
     def test_matches_naive_formulas(self, params):
         a = params.sigma_y / params.sigma_z
@@ -108,10 +106,6 @@ class TestHjbCoefficients:
                 + np.sinh(a * (T - t)) * np.sinh(a * t) / (4 * np.cosh(a * T)),
                 rtol=1e-12, atol=1e-15,
             )
-
-    def test_sigma_y_zero_rejected_by_bundle(self):
-        with pytest.raises(DomainError, match="sigma_y"):
-            cf.hjb_coefficients(make_params(sigma_y=0.0))
 
     def test_small_sigma_y_limit(self):
         # A_I -> -(T-t)/(2 sigma_z^2) as sigma_y -> 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from signalprice import (
     DomainError,
     INFORMED_FROM_START,
+    InformationMode,
     ModelParams,
     UNINFORMED,
     make_grid,
@@ -42,8 +44,13 @@ class TestValidate:
         ("x0", math.inf),
     ])
     def test_rejects_named_field(self, field, value):
+        # construction alone checks the domain
         with pytest.raises(DomainError, match=field):
-            validate(make_params(**{field: value}))
+            make_params(**{field: value})
+
+    def test_replace_is_checked(self, params):
+        with pytest.raises(DomainError, match="gamma"):
+            dataclasses.replace(params, gamma=0.0)
 
     def test_degenerate_sigma_y_zero_allowed(self):
         validate(make_params(sigma_y=0.0))
@@ -106,6 +113,11 @@ class TestInformationMode:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             subscribe_at(-0.1)
+
+    @pytest.mark.parametrize("t_star", [-0.5, math.nan, math.inf])
+    def test_mode_construction_checks_time(self, t_star):
+        with pytest.raises(DomainError, match="subscribe time"):
+            InformationMode(t_star)
 
 
 CONFIG = """\

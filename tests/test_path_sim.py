@@ -19,12 +19,16 @@ from conftest import dyadic_params
 
 class TestSimulatePaths:
     def test_no_noise_is_pure_drift(self):
-        # dyadic values make the Euler accumulation exact
-        p = dyadic_params(mu=0.5, sigma_y=0.0, sigma_z=0.0, y0=0.0)
+        # zero increments leave only the drift; dyadic values make the Euler
+        # accumulation exact
+        p = dyadic_params(mu=0.5, y0=0.0)
         grid = make_grid(1.0, 4)
-        b = next(ps.simulate_paths(p, grid, 1, 0))
-        assert np.array_equal(b.s, 1.0 + 0.5 * grid.t)
-        assert np.all(b.y == 0.0)
+        rows = [(0.0, 0.0)] * grid.n_steps
+        steps = list(ps._integrate(p, grid, rows, float(p.y0), float(p.s0)))
+        y = np.array([y_k for y_k, _, _ in steps])
+        s = np.array([s_k for _, s_k, _ in steps])
+        assert np.array_equal(s, 1.0 + 0.5 * grid.t)
+        assert np.all(y == 0.0)
 
     def test_bit_identical_replay(self, params, coarse_grid):
         first = list(ps.simulate_paths(params, coarse_grid, 3, 42))
@@ -208,6 +212,17 @@ class TestExpectedUtility:
                                       antithetic=True)
             errors.append(abs(est.mean - vu))
         assert errors[0] > errors[1] > errors[2]
+
+
+@pytest.mark.parametrize("mean,std_err,reference,expected", [
+    (1.5, 0.25, 1.0, 2.0),            # finite positive spread
+    (1.0, 0.0, 1.0, 0.0),             # nothing moved
+    (1.5, 0.0, 1.0, math.nan),        # no spread but a gap
+    (1.5, math.inf, 1.0, math.nan),   # spread not computable
+])
+def test_z_score_rule(mean, std_err, reference, expected):
+    z = ps.z_score(mean, std_err, reference)
+    assert z == expected or (math.isnan(z) and math.isnan(expected))
 
 
 class TestPathCsv:

@@ -304,3 +304,18 @@ class TestFlexibleValue:
     def test_rejects_time_beyond_window(self, params, grid, schedules):
         with pytest.raises(DomainError):
             st.value_flexible(params, 0.9, 0.0, 0.0, schedules["bump"], grid)
+
+
+class TestCommittedValue:
+    def test_latest_time_is_the_flexible_value(self, params, grid, schedules):
+        for sched in schedules.values():
+            tau_l = st.latest_time(params, sched, grid)
+            vc = st.value_committed(params, tau_l, sched, grid)
+            vf = float(st.value_flexible(params, 0.0, params.x0, params.y0, sched, grid))
+            assert vc == pytest.approx(vf, rel=1e-12)
+
+    def test_no_purchase_time_beats_the_flexible_value(self, params, grid, schedules):
+        for sched in schedules.values():
+            vf = float(st.value_flexible(params, 0.0, params.x0, params.y0, sched, grid))
+            vc = np.array([st.value_committed(params, t, sched, grid) for t in grid.t])
+            assert np.all(vc <= vf)
