@@ -99,6 +99,10 @@ class _SubstreamDrawer:
 _BLOCK = 32
 _KEYS = 256
 
+# One float64 array holds at most this many elements; numpy refuses larger
+# shapes with a message that names no input.
+_MAX_FLOAT64_ELEMENTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
 
 def _increment_rows(z: np.ndarray, dt: float, antithetic: bool) -> Iterator[tuple]:
     """(dB^Y_k, dB^Z_k) for k = 0 .. n-1, each an (m,) row with variance dt.
@@ -316,11 +320,14 @@ def mean_std_err(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
     """Sample mean and its standard error over paths (axis 0).
 
     Antithetic values (paths 2j, 2j+1 mirrored) are averaged in pairs first,
-    and the standard error is that of the independent pair means.
+    and the standard error is that of the independent pair means.  Values
+    near the top of the float range give an inf or nan mean or error, which
+    the caller's checks report, without numpy warnings.
     """
-    samples = values.reshape(-1, 2).mean(axis=1) if antithetic else values
-    se = np.std(samples, ddof=1) / math.sqrt(samples.shape[0])
-    return float(np.mean(values)), float(se)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = values.reshape(-1, 2).mean(axis=1) if antithetic else values
+        se = np.std(samples, ddof=1) / math.sqrt(samples.shape[0])
+        return float(np.mean(values)), float(se)
 
 
 def z_score(mean: float, std_err: float, reference: float) -> float:
@@ -390,6 +397,11 @@ def mc_multi(
     """
     if n_paths < 2:
         raise DomainError(f"n_paths must be >= 2, got {n_paths}")
+    if n_paths > _MAX_FLOAT64_ELEMENTS:
+        raise DomainError(
+            f"n_paths must be at most {_MAX_FLOAT64_ELEMENTS}, the size of the largest "
+            f"float64 array, got {n_paths}"
+        )
     if antithetic and n_paths % 2:
         raise DomainError(f"antithetic runs need an even path count, got {n_paths}")
     resolved = [_resolve_charges(p, grid, arm.mode, arm.charge) for arm in arms]

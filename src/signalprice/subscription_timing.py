@@ -242,10 +242,14 @@ def value_committed(
 
     -exp(pre(0) - gamma F(t*)): the value of buying at 0, discounted by the
     timing profile.  Equals ``value_flexible`` at t = 0 when t* = tau_l and is
-    at most that at any other t*.
+    at most that at any other t*.  Past exp's range (-gamma F(t*) above
+    ~709.78) the factor is inf, so the value is -inf, as numpy would give.
     """
     pre0 = float(value_prepurchase(p, 0.0, p.x0, p.y0, schedule))
-    return pre0 * math.exp(-p.gamma * profile(p, schedule, grid)[grid.index_of(t_star)])
+    try:
+        return pre0 * math.exp(-p.gamma * profile(p, schedule, grid)[grid.index_of(t_star)])
+    except OverflowError:
+        return pre0 * math.inf
 
 
 def value_flexible(

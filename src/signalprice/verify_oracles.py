@@ -24,7 +24,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Sequence
 
-import mpmath
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
@@ -174,6 +173,16 @@ def single_period_oracle(p: ModelParams) -> SinglePeriodOracle:
 
 # --- HJB coefficient ODE oracle ---
 
+def _square(x: float) -> float:
+    """x**2 through pow(), as numpy's scalar power forms it (pow differs from
+    x*x in the last bit of about 0.1 % of inputs), giving inf on overflow
+    where Python's float power raises."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def ode_oracle(p: ModelParams, grid: TimeGrid) -> dict[str, float]:
     """Max |closed form - RK4| per coefficient over the grid.
 
@@ -183,32 +192,55 @@ def ode_oracle(p: ModelParams, grid: TimeGrid) -> dict[str, float]:
         A_UI' = 1/(2 sz^2) + (2 sy/sz) h(t) A_UI  B_UI' = -sy^2 h(t)^2 A_UI
 
     with h(t) = tanh(sy t / sz), using plain numpy hyperbolics so the
-    arithmetic shares nothing with the stabilized closed forms.
+    arithmetic shares nothing with the stabilized closed forms.  h at the
+    three stage times of every step comes from one array tanh per stage;
+    the recurrence runs on Python floats with the operations and operand
+    order of elementwise numpy arithmetic, so it matches that to the bit.
+    The B slopes depend only on the A stage values, so no B stage state is
+    formed.
     """
     sy, sz = p.sigma_y, p.sigma_z
-
-    def rhs(t, u):
-        a_i, _, a_ui, _ = u
-        h = np.tanh(sy * t / sz)
-        return np.array([
-            1.0 / (2.0 * sz**2) - 2.0 * sy**2 * a_i**2,
-            -(sy**2) * a_i,
-            1.0 / (2.0 * sz**2) + (2.0 * sy / sz) * h * a_ui,
-            -(sy**2) * h**2 * a_ui,
-        ])
-
-    n = grid.n_steps
+    source = 1.0 / (2.0 * sz**2)
+    two_sy2 = 2.0 * sy**2
+    neg_sy2 = -(sy**2)
+    drift = 2.0 * sy / sz
     step = -grid.dt
-    states = np.zeros((n + 1, 4))
-    u = np.zeros(4)
-    for k in range(n, 0, -1):
-        t = grid.t[k]
-        k1 = rhs(t, u)
-        k2 = rhs(t + 0.5 * step, u + 0.5 * step * k1)
-        k3 = rhs(t + 0.5 * step, u + 0.5 * step * k2)
-        k4 = rhs(t + step, u + step * k3)
-        u = u + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k - 1] = u
+    half = 0.5 * step
+    sixth = step / 6.0
+    t = grid.t[1:]  # step k integrates from t_k back to t_(k-1)
+    h_starts, h_mids, h_ends = (
+        np.tanh(sy * times / sz).tolist() for times in (t, t + half, t + step)
+    )
+
+    a_i = b_i = a_ui = b_ui = 0.0
+    rows = [(a_i, b_i, a_ui, b_ui)]
+    for h1, h2, h4 in zip(reversed(h_starts), reversed(h_mids), reversed(h_ends)):
+        ka1 = source - two_sy2 * _square(a_i)
+        kc1 = source + drift * h1 * a_ui
+        a2 = a_i + half * ka1
+        c2 = a_ui + half * kc1
+        ka2 = source - two_sy2 * _square(a2)
+        kc2 = source + drift * h2 * c2
+        a3 = a_i + half * ka2
+        c3 = a_ui + half * kc2
+        ka3 = source - two_sy2 * _square(a3)
+        kc3 = source + drift * h2 * c3
+        a4 = a_i + step * ka3
+        c4 = a_ui + step * kc3
+        ka4 = source - two_sy2 * _square(a4)
+        kc4 = source + drift * h4 * c4
+        hh1, hh2, hh4 = h1**2, h2**2, h4**2
+        b_i = b_i + sixth * (
+            neg_sy2 * a_i + 2.0 * (neg_sy2 * a2) + 2.0 * (neg_sy2 * a3) + neg_sy2 * a4
+        )
+        b_ui = b_ui + sixth * (
+            neg_sy2 * hh1 * a_ui + 2.0 * (neg_sy2 * hh2 * c2)
+            + 2.0 * (neg_sy2 * hh2 * c3) + neg_sy2 * hh4 * c4
+        )
+        a_i = a_i + sixth * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
+        a_ui = a_ui + sixth * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4)
+        rows.append((a_i, b_i, a_ui, b_ui))
+    states = np.array(rows[::-1])
 
     closed = np.column_stack([
         closed_form.coeff_a_informed(p, grid.t),
@@ -331,24 +363,30 @@ def kernel_identity_residual(p: ModelParams, n_lattice: int = 20) -> float:
     """Max residual of sigma_z k(t,u) - int_0^u k(t,v) k(u,v) dv + sigma_y^2 u.
 
     Evaluated by adaptive quadrature on an n x n (t, u) lattice restricted to
-    u <= t; an exact kernel makes this identically zero.
+    u <= t; an exact kernel makes this identically zero.  For v <= u <= t
+    the kernel k(t,v) does not depend on t, so the integral equals that of
+    k(u,v)^2 for every t >= u and one quadrature per u covers the lattice.
+    The residual is still formed at every (t, u) pair, so a kernel that
+    wrongly depended on t would fail there.
     """
     # imported here, its only use: scipy.integrate costs most of the package's
     # import time, which every other command would pay without using it
     from scipy.integrate import quad
 
+    def kernel_squared(v, u):
+        k = signal_filter.hitsuda_kernel(p, u, v)
+        return k * k
+
     times = np.linspace(0.0, p.t_end, n_lattice)
+    integrals = [
+        quad(kernel_squared, 0.0, u, args=(u,), epsabs=1e-10, epsrel=1e-10)[0]
+        for u in times
+    ]
     worst = 0.0
     for t in times:
-        for u in times[times <= t]:
-            integral, _ = quad(
-                lambda v: signal_filter.hitsuda_kernel(p, t, v)
-                * signal_filter.hitsuda_kernel(p, u, v),
-                0.0,
-                u,
-                epsabs=1e-10,
-                epsrel=1e-10,
-            )
+        for u, integral in zip(times, integrals):
+            if u > t:
+                break
             residual = abs(
                 p.sigma_z * signal_filter.hitsuda_kernel(p, t, u)
                 - integral
@@ -360,6 +398,10 @@ def kernel_identity_residual(p: ModelParams, n_lattice: int = 20) -> float:
 
 def highprec_uninformed_strategy(p: ModelParams, t: float, y_hat: float, dps: int = 50) -> float:
     """Extended-precision recomputation of the filtered-signal position."""
+    # imported here, its only use: mpmath adds about a tenth to the import
+    # time of every command, none of which calls this
+    import mpmath
+
     with mpmath.workdps(dps):
         a = mpmath.mpf(p.sigma_y) / mpmath.mpf(p.sigma_z)
         num = (

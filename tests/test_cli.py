@@ -64,20 +64,37 @@ class TestJsonSerializer:
         assert json.loads(_to_json(parsed)) == parsed
 
 
+def _python(code):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(signalprice.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 def test_price_does_not_import_scipy(config_file):
     # scipy serves only the kernel oracle of verify; importing it costs most
     # of the start-up time of every other command
-    src = os.path.dirname(os.path.dirname(signalprice.__file__))
-    code = (
+    done = _python(
         "import sys\n"
         "from signalprice.cli import main\n"
         f"main(['price', '--config', {config_file!r}])\n"
         "print('scipy' in sys.modules)\n"
     )
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_verify_does_not_import_mpmath(config_file):
+    # mpmath serves only highprec_uninformed_strategy, which no command calls
+    done = _python(
+        "import sys\n"
+        "from signalprice.cli import main\n"
+        f"main(['verify', '--suite', 'fast', '--config', {config_file!r}])\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
 
 
@@ -243,6 +260,21 @@ class TestSimulate:
         got = json.loads(out)
         assert abs(got["z_score"]) <= 3.0
 
+    def test_subscribe_mode_past_the_exp_range(self, capsys, tmp_path):
+        # sigma_y T / sigma_z = 3000 under a zero schedule: -gamma F(t*) at
+        # t* = 1 is past ~709.78, so the committed value is -inf
+        path = tmp_path / "sharp.ini"
+        path.write_text(CONFIG.replace("sigma_y = 0.1", "sigma_y = 3")
+                        .replace("sigma_z = 0.05", "sigma_z = 1e-3"))
+        sched = tmp_path / "zero.csv"
+        st.RateSchedule.constant(0.0, 1.0).to_csv(sched)
+        code, out = run_cli(capsys, "simulate", "--config", str(path),
+                            "--mode", "subscribe", "--schedule", str(sched),
+                            "--t-star", "1", "--paths", "10", "--steps", "10",
+                            "--out", str(tmp_path / "sim"))
+        assert code == 0
+        assert json.loads(out)["closed_form"] is None
+
     def test_negative_dump_paths_exits_2(self, capsys, config_file, tmp_path):
         out_dir = tmp_path / "sim"
         code = main(["simulate", "--config", config_file, "--paths", "10",
@@ -348,6 +380,16 @@ class TestNumericalRange:
             assert not reports[f"mc_martingale_{label}"]["passed"]
         assert reports["mc_indifference_price"]["passed"]
 
+    def test_failed_checks_write_no_warnings(self, tmp_path):
+        done = _python(
+            "import sys\n"
+            "from signalprice.cli import main\n"
+            f"sys.exit(main(['verify', '--config', {_with_x0(tmp_path, -7050)!r}, "
+            "'--suite', 'all', '--paths', '4096', '--steps', '200']))\n"
+        )
+        assert done.returncode == 1
+        assert done.stderr == ""
+
     def test_stdout_stays_json_past_the_float_range(self, capsys, tmp_path):
         config = _with_x0(tmp_path, -8000)
         code, out = run_cli(capsys, "simulate", "--config", config, "--paths", "200",
@@ -379,4 +421,6 @@ class TestUnallocatableSizes:
         code = main(["simulate", "--paths", str(10**20), "--config", config_file,
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "n_paths" in err
