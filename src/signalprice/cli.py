@@ -149,6 +149,8 @@ def cmd_simulate(
     p, grid = cfg.params, cfg.grid
     if dump_paths < 0:
         raise DomainError(f"--dump-paths must be >= 0, got {dump_paths}")
+    if not math.isfinite(charge):
+        raise DomainError(f"--charge must be finite, got {charge!r}")
     if mode_name == "uninformed":
         mode, mode_charge = UNINFORMED, 0.0
     elif mode_name == "informed":
@@ -224,6 +226,8 @@ def _write_value_csv(cfg, index, bundle, y_hat, wealth, charge, schedule) -> Non
 
 
 def cmd_subscribe(cfg: RunConfig, schedule: RateSchedule, tol: float) -> int:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"--tol must be finite and >= 0, got {tol!r}")
     result = subscription_timing.earliest_time(cfg.params, schedule, cfg.grid, tol)
     print(_to_json({
         "tau_e": result.tau_e,
@@ -242,12 +246,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     reports += verify_oracles.report_single_period(p)
     reports.append(verify_oracles.report_kernel(p))
     if suite == "all":
-        reports += verify_oracles.mc_value_check(
-            p, cfg.grid, cfg.mc.n_paths, cfg.mc.seed, (UNINFORMED, INFORMED_FROM_START)
-        )
-        reports.append(
-            verify_oracles.report_indifference(p, cfg.grid, cfg.mc.n_paths, cfg.mc.seed)
-        )
+        reports += verify_oracles.mc_reports(p, cfg.grid, cfg.mc.n_paths, cfg.mc.seed)
     print(_to_json([r.as_dict() for r in reports]))
     return 0 if all(r.passed for r in reports) else 1
 

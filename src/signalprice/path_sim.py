@@ -101,7 +101,7 @@ _KEYS = 256
 
 # One float64 array holds at most this many elements; numpy refuses larger
 # shapes with a message that names no input.
-_MAX_FLOAT64_ELEMENTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+MAX_PATHS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 def _increment_rows(z: np.ndarray, dt: float, antithetic: bool) -> Iterator[tuple]:
@@ -378,6 +378,24 @@ class Arm:
     policy: Policy | None = None
 
 
+def check_path_count(n_paths: int, antithetic: bool) -> None:
+    """Raise a DomainError naming ``n_paths`` unless ``mc_multi`` takes that count.
+
+    A standard error needs two samples: two paths, or two antithetic pairs.
+    """
+    least = 4 if antithetic else 2
+    kind = " in antithetic runs" if antithetic else ""
+    if n_paths < least:
+        raise DomainError(f"n_paths must be >= {least}{kind}, got {n_paths}")
+    if n_paths > MAX_PATHS:
+        raise DomainError(
+            f"n_paths must be at most {MAX_PATHS}, the size of the largest "
+            f"float64 array, got {n_paths}"
+        )
+    if antithetic and n_paths % 2:
+        raise DomainError(f"n_paths must be even in antithetic runs, got {n_paths}")
+
+
 def mc_multi(
     p: ModelParams,
     grid: TimeGrid,
@@ -395,15 +413,7 @@ def mc_multi(
     the grid; each snapshot stores per-path wealth, signal, and (when
     computed) filtered signal for martingale-style checks.
     """
-    if n_paths < 2:
-        raise DomainError(f"n_paths must be >= 2, got {n_paths}")
-    if n_paths > _MAX_FLOAT64_ELEMENTS:
-        raise DomainError(
-            f"n_paths must be at most {_MAX_FLOAT64_ELEMENTS}, the size of the largest "
-            f"float64 array, got {n_paths}"
-        )
-    if antithetic and n_paths % 2:
-        raise DomainError(f"antithetic runs need an even path count, got {n_paths}")
+    check_path_count(n_paths, antithetic)
     resolved = [_resolve_charges(p, grid, arm.mode, arm.charge) for arm in arms]
     needs_filter = any(
         arm.policy is not None or k_star is None or k_star > 0
@@ -492,6 +502,7 @@ __all__ = [
     "simulate_paths",
     "filtered_signal",
     "run_strategy",
+    "check_path_count",
     "mc_multi",
     "expected_utility",
     "write_path_csv",

@@ -280,12 +280,20 @@ def mc_value_check(
     """
     if any(mode not in (UNINFORMED, INFORMED_FROM_START) for mode in modes):
         raise DomainError("mc_value_check supports the uninformed and informed-from-start modes")
-
-    check_times = tuple(f * grid.t_end for f in _MARTINGALE_FRACTIONS)
     runs = path_sim.mc_multi(
         p, grid, n_paths, seed, [path_sim.Arm(mode, 0.0, policy) for mode in modes],
-        antithetic=antithetic, snapshot_times=() if policy is not None else check_times,
+        antithetic=antithetic, snapshot_times=() if policy is not None else _check_times(grid),
     )
+    return _value_reports(p, grid, modes, runs, n_paths, seed, reference)
+
+
+def _check_times(grid: TimeGrid) -> tuple[float, ...]:
+    return tuple(f * grid.t_end for f in _MARTINGALE_FRACTIONS)
+
+
+def _value_reports(p, grid, modes, runs, n_paths, seed, reference) -> list[OracleReport]:
+    """The reports of ``mc_value_check`` from its runs, one per mode; a run
+    without snapshots gets no martingale report."""
     reports = []
     for mode, run in zip(modes, runs):
         if mode == INFORMED_FROM_START:
@@ -305,14 +313,14 @@ def mc_value_check(
             f"(abs {3.0 * est.std_err:.3e}), n_paths={n_paths}, seed={seed}"
         )
         reports.append(_report(f"mc_value_{label}", est.mean, closed0, 3.0 * est.std_err, detail))
-        if policy is not None:
+        if not run.snapshots:
             continue
 
         z_scores = []
-        for t_check in check_times:
+        for t_check in _check_times(grid):
             idx = grid.index_of(t_check)
             values = np.asarray(value_at(grid.t[idx], run.snapshots[idx]))
-            mean, se = path_sim.mean_std_err(values, antithetic)
+            mean, se = path_sim.mean_std_err(values, run.antithetic)
             z_scores.append((grid.t[idx], path_sim.z_score(mean, se, closed0)))
         worst = float(np.max(np.abs([z for _, z in z_scores])))
         detail = (
@@ -340,14 +348,20 @@ def indifference_log_ratio(
     wealth.  The half-width is one paired delta-method standard error of the
     implied charge; comparisons elsewhere use the usual 3-standard-error band.
     """
-    log_means, weights = [], []
-    for run in path_sim.mc_multi(
+    informed, uninformed = path_sim.mc_multi(
         p, grid, n_paths, seed,
         [path_sim.Arm(INFORMED_FROM_START), path_sim.Arm(UNINFORMED)],
         antithetic=antithetic,
-    ):
-        top = np.max(run.exponents)
-        scaled = np.exp(run.exponents - top)
+    )
+    return _log_ratio(p, informed.exponents, uninformed.exponents, antithetic)
+
+
+def _log_ratio(p, informed, uninformed, antithetic) -> tuple[float, float]:
+    """``indifference_log_ratio`` from the two arms' per-path exponents."""
+    log_means, weights = [], []
+    for exponents in (informed, uninformed):
+        top = np.max(exponents)
+        scaled = np.exp(exponents - top)
         mean = np.mean(scaled)
         log_means.append(top + math.log(mean))
         weights.append(scaled / mean)
@@ -355,6 +369,59 @@ def indifference_log_ratio(
     c_star = max(0.0, (lme_uninformed - lme_informed) / p.gamma)
     _, se = path_sim.mean_std_err((w_uninformed - w_informed) / p.gamma, antithetic)
     return float(c_star), se
+
+
+def _price_report(p, c_mc, half, n_paths, seed) -> OracleReport:
+    return _report(
+        "mc_indifference_price",
+        c_mc,
+        closed_form.continuous_price(p).c_hat_0T,
+        3.0 * half,
+        f"MC log ratio (common random numbers, antithetic, n_paths={n_paths}, "
+        f"seed={seed}) vs closed form; half-width (1 std err) = {half:.4g}, "
+        "tolerance = 3 std errs",
+    )
+
+
+def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[OracleReport]:
+    """The Monte-Carlo reports of ``verify --suite all`` from one engine call.
+
+    They equal ``mc_value_check(p, grid, n_paths, seed, (UNINFORMED,
+    INFORMED_FROM_START))`` followed by ``report_indifference(p, grid,
+    n_paths, seed)``, bit for bit, but draw and step every scenario once.
+    One antithetic run of 2 n_paths serves both: its path 2j is keyed draw j
+    with a + sign, which every engine step treats elementwise, so its even
+    paths are the plain run of n_paths, and its first n_paths paths are the
+    antithetic run of n_paths.  The mirrors of the later keys are dropped.
+    """
+    for antithetic in (False, True):  # the two runs the shared one stands for
+        path_sim.check_path_count(n_paths, antithetic)
+    if 2 * n_paths > path_sim.MAX_PATHS:
+        raise DomainError(
+            f"n_paths must be at most {path_sim.MAX_PATHS // 2}, as the checks run "
+            f"2 n_paths paths, got {n_paths}"
+        )
+    modes = (UNINFORMED, INFORMED_FROM_START)
+    uninformed, informed = path_sim.mc_multi(
+        p, grid, 2 * n_paths, seed, [path_sim.Arm(mode) for mode in modes],
+        antithetic=True, snapshot_times=_check_times(grid),
+    )
+    plain = [_even_paths(run) for run in (uninformed, informed)]
+    reports = _value_reports(p, grid, modes, plain, n_paths, seed, None)
+    first = slice(0, n_paths)
+    c_mc, half = _log_ratio(p, informed.exponents[first], uninformed.exponents[first], True)
+    reports.append(_price_report(p, c_mc, half, n_paths, seed))
+    return reports
+
+
+def _even_paths(run: path_sim.McRun) -> path_sim.McRun:
+    """The plain run inside an antithetic one, copied into contiguous arrays
+    so that numpy takes the code paths it takes for a plain run's arrays."""
+    even = lambda a: None if a is None else np.ascontiguousarray(a[0::2])
+    snapshots = {
+        k: {name: even(a) for name, a in snap.items()} for k, snap in run.snapshots.items()
+    }
+    return path_sim.McRun(even(run.exponents), False, snapshots)
 
 
 # --- price-filtration kernel identity ---
@@ -471,16 +538,7 @@ def report_indifference(
     p: ModelParams, grid: TimeGrid, n_paths: int, seed: int
 ) -> OracleReport:
     c_mc, half = indifference_log_ratio(p, grid, n_paths, seed, antithetic=True)
-    closed = closed_form.continuous_price(p).c_hat_0T
-    return _report(
-        "mc_indifference_price",
-        c_mc,
-        closed,
-        3.0 * half,
-        f"MC log ratio (common random numbers, antithetic, n_paths={n_paths}, "
-        f"seed={seed}) vs closed form; half-width (1 std err) = {half:.4g}, "
-        "tolerance = 3 std errs",
-    )
+    return _price_report(p, c_mc, half, n_paths, seed)
 
 
 __all__ = [
@@ -490,6 +548,7 @@ __all__ = [
     "ode_oracle",
     "mc_value_check",
     "indifference_log_ratio",
+    "mc_reports",
     "kernel_identity_residual",
     "highprec_uninformed_strategy",
     "report_single_period",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 
 import signalprice
 from signalprice import closed_form as cf
+from signalprice import path_sim
 from signalprice import subscription_timing as st
 from signalprice.cli import _to_json, main
 
@@ -196,6 +198,16 @@ class TestSubscribe:
         assert main(["subscribe", "--config", config_file,
                      "--schedule", "/nonexistent.csv"]) == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_unusable_tol_exits_2(self, capsys, config_file, tmp_path, params, tol):
+        sched = tmp_path / "flat.csv"
+        st.RateSchedule.constant(cf.continuous_price(params).c_bar, 1.0).to_csv(sched)
+        code = main(["subscribe", "--config", config_file, "--schedule", str(sched),
+                     "--tol", tol])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "--tol must be finite and >= 0" in err
+
 
 class TestSimulate:
     def test_uninformed_summary_and_dumps(self, capsys, config_file, tmp_path):
@@ -283,6 +295,15 @@ class TestSimulate:
         assert "--dump-paths" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("charge", ["nan", "inf"])
+    def test_non_finite_charge_exits_2(self, capsys, config_file, tmp_path, charge):
+        code = main(["simulate", "--config", config_file, "--mode", "informed",
+                     "--charge", charge, "--paths", "10", "--dump-paths", "0",
+                     "--out", str(tmp_path / "sim")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "--charge must be finite" in err
+
     def test_subscribe_mode_requires_schedule(self, config_file):
         assert main(["simulate", "--config", config_file, "--mode", "subscribe"]) == 2
 
@@ -331,6 +352,53 @@ class TestVerify:
     def test_zero_paths_exits_2(self, capsys, config_file):
         assert main(["verify", "--config", config_file, "--suite", "all", "--paths", "0"]) == 2
         assert "n_paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("paths", [1, 2, 3, 1001, 2**59, 10**20])
+    def test_unusable_path_count_exits_2(self, capsys, config_file, paths):
+        # named with the --paths value, although the checks share one run of twice as many
+        code = main(["verify", "--config", config_file, "--suite", "all",
+                     "--steps", "10", "--paths", str(paths)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: n_paths must be ")
+        assert err.endswith(f", got {paths}\n")
+
+    def test_all_suite_output_is_pinned(self, capsys, config_file):
+        # the determinism contract: this digest was taken when the value checks
+        # and the price check still ran separate Monte-Carlo runs
+        code, out = run_cli(capsys, "verify", "--config", config_file, "--suite", "all",
+                            "--paths", "1000", "--steps", "50", "--seed", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ebe6a9a14ecf21c2278ccd80bfa72ce8ac1b9806091df91861ddc925f018a9f3"
+        )
+
+    def test_all_suite_makes_one_engine_call(self, capsys, config_file, monkeypatch):
+        engine, calls = path_sim.mc_multi, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(path_sim, "mc_multi", counted)
+        code, _ = run_cli(capsys, "verify", "--config", config_file, "--suite", "all",
+                          "--paths", "1000", "--steps", "50")
+        assert code == 0
+        assert calls == [2000]
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--antithetic", "--dump-paths", "0"],
+        ["verify", "--suite", "all"],
+    ])
+    def test_one_antithetic_pair_exits_2_without_warnings(self, config_file, tmp_path,
+                                                          command):
+        argv = [*command, "--paths", "2", "--steps", "10", "--config", config_file,
+                "--out", str(tmp_path / "out")]
+        done = _python(f"import sys\nfrom signalprice.cli import main\n"
+                       f"sys.exit(main({argv!r}))\n")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: n_paths must be >= 4 in antithetic runs, got 2\n"
 
     @pytest.mark.parametrize("sigma_y", ["1.0", "1000.0"])
     def test_unresolved_one_shot_price_fails_as_a_report(self, capsys, tmp_path, sigma_y):

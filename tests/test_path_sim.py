@@ -132,9 +132,29 @@ class TestEngineConsistency:
         y_T = run.snapshots[coarse_grid.n_steps]["y"]
         assert y_T[1] == -y_T[0] and y_T[3] == -y_T[2]
 
+    @pytest.mark.parametrize("chunk_size", [6, 8192])
+    def test_even_antithetic_paths_are_the_plain_run(self, params, coarse_grid, chunk_size):
+        # path 2j is keyed draw j with a + sign, stepped elementwise like plain path j
+        arms = [ps.Arm(UNINFORMED), ps.Arm(INFORMED_FROM_START)]
+        plain = ps.mc_multi(params, coarse_grid, 50, 9, arms, snapshot_times=(0.5, 1.0))
+        mirrored = ps.mc_multi(params, coarse_grid, 100, 9, arms, antithetic=True,
+                               snapshot_times=(0.5, 1.0), chunk_size=chunk_size)
+        for a, b in zip(plain, mirrored):
+            assert np.array_equal(a.exponents, b.exponents[0::2])
+            for k, snap in a.snapshots.items():
+                for name, values in snap.items():
+                    assert np.array_equal(values, b.snapshots[k][name][0::2]), (k, name)
+
     def test_antithetic_requires_even_paths(self, params, coarse_grid):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n_paths must be even"):
             ps.mc_multi(params, coarse_grid, 5, 9, [ps.Arm()], antithetic=True)
+
+    @pytest.mark.parametrize("n_paths", [0, 2])
+    def test_antithetic_needs_two_pairs(self, params, coarse_grid, n_paths):
+        # one pair leaves the paired standard error no degree of freedom
+        message = f"n_paths must be >= 4 in antithetic runs, got {n_paths}"
+        with pytest.raises(DomainError, match=message):
+            ps.mc_multi(params, coarse_grid, n_paths, 9, [ps.Arm()], antithetic=True)
 
     def test_minimum_path_count(self, params, coarse_grid):
         with pytest.raises(DomainError):

@@ -195,6 +195,30 @@ class TestIndifferenceLogRatio:
         assert vo.indifference_log_ratio(params, coarse_grid, 2_000, 5) == shared
 
 
+class TestMcReports:
+    """One antithetic run of 2n paths gives what a plain and an antithetic run
+    of n paths give, field for field."""
+
+    @pytest.mark.parametrize("n_paths, n_steps, chunk_size, x0", [
+        (1000, 50, None, 0.0),     # one chunk in every run
+        (10_000, 20, None, 0.0),   # several chunks in every run
+        (30, 20, 7, 0.0),          # tiny chunks, rounded up to 8 in antithetic runs
+        (4096, 200, None, -7050.0),  # utilities past the float range: non-finite fields
+    ])
+    def test_equals_the_separate_runs(self, monkeypatch, n_paths, n_steps, chunk_size, x0):
+        p, grid, seed = make_params(x0=x0), make_grid(1.0, n_steps), 3
+        separate = vo.mc_value_check(p, grid, n_paths, seed, (UNINFORMED, INFORMED_FROM_START))
+        separate.append(vo.report_indifference(p, grid, n_paths, seed))
+        if chunk_size is not None:
+            engine = ps.mc_multi
+            monkeypatch.setattr(ps, "mc_multi", lambda *args, **kwargs: engine(
+                *args, **kwargs, chunk_size=chunk_size))
+        shared = vo.mc_reports(p, grid, n_paths, seed)
+        np.testing.assert_equal([r.as_dict() for r in shared], [r.as_dict() for r in separate])
+        if x0 != 0.0:
+            assert any(not math.isfinite(r.tolerance) for r in shared)
+
+
 class TestHighPrecisionStrategy:
     def test_matches_closed_form(self, params):
         got = vo.highprec_uninformed_strategy(params, 0.37, 0.05)
