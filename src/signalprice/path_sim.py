@@ -286,6 +286,8 @@ def _resolve_charges(
             sched_rates = charge(grid.t[:-1])
     else:
         lump = float(charge)
+        if not math.isfinite(lump):
+            raise DomainError(f"charge must be finite, got {charge!r}")
     return k_star, lump, sched_rates
 
 

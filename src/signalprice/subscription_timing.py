@@ -167,6 +167,8 @@ def _latest_index(F: np.ndarray, tol_abs: float) -> int:
 
 
 def _solve(p: ModelParams, schedule: RateSchedule, grid: TimeGrid, tol: float):
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     F = profile(p, schedule, grid)
     scale = max(1.0, float(np.max(np.abs(F))))
     tol_abs = tol * scale

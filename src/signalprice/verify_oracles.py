@@ -14,15 +14,14 @@ implementation under test:
 * lump price: the charge at which the informed and uninformed Monte-Carlo
   utilities match, a log ratio of their means under common random numbers;
 * price-filtration kernel: adaptive quadrature residual of the Volterra
-  integral identity;
-* filtered-signal position: extended-precision (mpmath) recomputation.
+  integral identity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -30,7 +29,6 @@ from numpy.polynomial.hermite import hermgauss
 from . import closed_form, path_sim, signal_filter
 from .model_core import (
     DomainError,
-    InformationMode,
     INFORMED_FROM_START,
     ModelParams,
     TimeGrid,
@@ -253,97 +251,20 @@ def ode_oracle(p: ModelParams, grid: TimeGrid) -> dict[str, float]:
     return dict(zip(names, errors.tolist()))
 
 
-# --- Monte-Carlo value checks ---
+# --- Monte-Carlo checks ---
 
 _MARTINGALE_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 
-def mc_value_check(
-    p: ModelParams,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    modes: Sequence[InformationMode],
-    antithetic: bool = False,
-    policy=None,
-    reference: float | None = None,
-) -> list[OracleReport]:
-    """Monte-Carlo expected utility vs the closed-form value at t = 0.
-
-    Every mode is one arm of a single ``mc_multi`` call, so all modes share
-    the same seeded paths; the reports come in the order of ``modes``.
-    Tolerance is 3 standard errors.  Also checks that the ensemble mean of
-    the matching value function along optimal paths stays at its t = 0 value
-    across the horizon quartiles (3 standard errors per time), as a true
-    martingale must.  ``reference`` overrides the closed form of every mode
-    (used with the ``policy`` test hook, where no closed form applies).
-    """
-    if any(mode not in (UNINFORMED, INFORMED_FROM_START) for mode in modes):
-        raise DomainError("mc_value_check supports the uninformed and informed-from-start modes")
-    runs = path_sim.mc_multi(
-        p, grid, n_paths, seed, [path_sim.Arm(mode, 0.0, policy) for mode in modes],
-        antithetic=antithetic, snapshot_times=() if policy is not None else _check_times(grid),
-    )
-    return _value_reports(p, grid, modes, runs, n_paths, seed, reference)
-
-
-def _check_times(grid: TimeGrid) -> tuple[float, ...]:
-    return tuple(f * grid.t_end for f in _MARTINGALE_FRACTIONS)
-
-
-def _value_reports(p, grid, modes, runs, n_paths, seed, reference) -> list[OracleReport]:
-    """The reports of ``mc_value_check`` from its runs, one per mode; a run
-    without snapshots gets no martingale report."""
-    reports = []
-    for mode, run in zip(modes, runs):
-        if mode == INFORMED_FROM_START:
-            label = "informed"
-            closed0 = float(closed_form.value_informed(p, 0.0, p.x0, p.y0, 0.0))
-            value_at = lambda t, snap: closed_form.value_informed(p, t, snap["x"], snap["y"], 0.0)
-        else:
-            label = "uninformed"
-            closed0 = float(closed_form.value_uninformed(p, 0.0, p.x0, p.y0))
-            value_at = lambda t, snap: closed_form.value_uninformed(p, t, snap["x"], snap["y_hat"])
-        if reference is not None:
-            closed0 = float(reference)
-
-        est = run.estimate()
-        detail = (
-            f"terminal MC utility vs closed form at t=0 ({label}); tolerance = 3 std errs "
-            f"(abs {3.0 * est.std_err:.3e}), n_paths={n_paths}, seed={seed}"
-        )
-        reports.append(_report(f"mc_value_{label}", est.mean, closed0, 3.0 * est.std_err, detail))
-        if not run.snapshots:
-            continue
-
-        z_scores = []
-        for t_check in _check_times(grid):
-            idx = grid.index_of(t_check)
-            values = np.asarray(value_at(grid.t[idx], run.snapshots[idx]))
-            mean, se = path_sim.mean_std_err(values, run.antithetic)
-            z_scores.append((grid.t[idx], path_sim.z_score(mean, se, closed0)))
-        worst = float(np.max(np.abs([z for _, z in z_scores])))
-        detail = (
-            f"max |z| of mean value-function drift from t=0 over quartiles ({label}); "
-            + ", ".join(f"t={t:g}: z={z:+.2f}" for t, z in z_scores)
-        )
-        reports.append(_report(f"mc_martingale_{label}", worst, 0.0, 3.0, detail))
-    return reports
-
-
 def indifference_log_ratio(
-    p: ModelParams,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    antithetic: bool = True,
+    p: ModelParams, grid: TimeGrid, n_paths: int, seed: int
 ) -> tuple[float, float]:
     """Charge equating informed and uninformed MC utilities, plus half-width.
 
-    Both branches are arms of one ``mc_multi`` call on the same seeded paths
-    (common random numbers).  A charge C scales the informed utilities by
-    exp(gamma C), so the root is the log ratio of the mean of exp(exponent)
-    over the two arms, divided by gamma.  Each mean is formed as
+    Both branches are arms of one antithetic ``mc_multi`` call on the same
+    seeded paths (common random numbers).  A charge C scales the informed
+    utilities by exp(gamma C), so the root is the log ratio of the mean of
+    exp(exponent) over the two arms, divided by gamma.  Each mean is formed as
     max e + log(mean exp(e - max e)), which stays finite for any initial
     wealth.  The half-width is one paired delta-method standard error of the
     implied charge; comparisons elsewhere use the usual 3-standard-error band.
@@ -351,12 +272,12 @@ def indifference_log_ratio(
     informed, uninformed = path_sim.mc_multi(
         p, grid, n_paths, seed,
         [path_sim.Arm(INFORMED_FROM_START), path_sim.Arm(UNINFORMED)],
-        antithetic=antithetic,
+        antithetic=True,
     )
-    return _log_ratio(p, informed.exponents, uninformed.exponents, antithetic)
+    return _log_ratio(p, informed.exponents, uninformed.exponents)
 
 
-def _log_ratio(p, informed, uninformed, antithetic) -> tuple[float, float]:
+def _log_ratio(p, informed, uninformed) -> tuple[float, float]:
     """``indifference_log_ratio`` from the two arms' per-path exponents."""
     log_means, weights = [], []
     for exponents in (informed, uninformed):
@@ -367,32 +288,27 @@ def _log_ratio(p, informed, uninformed, antithetic) -> tuple[float, float]:
         weights.append(scaled / mean)
     (lme_informed, lme_uninformed), (w_informed, w_uninformed) = log_means, weights
     c_star = max(0.0, (lme_uninformed - lme_informed) / p.gamma)
-    _, se = path_sim.mean_std_err((w_uninformed - w_informed) / p.gamma, antithetic)
+    _, se = path_sim.mean_std_err((w_uninformed - w_informed) / p.gamma, True)
     return float(c_star), se
-
-
-def _price_report(p, c_mc, half, n_paths, seed) -> OracleReport:
-    return _report(
-        "mc_indifference_price",
-        c_mc,
-        closed_form.continuous_price(p).c_hat_0T,
-        3.0 * half,
-        f"MC log ratio (common random numbers, antithetic, n_paths={n_paths}, "
-        f"seed={seed}) vs closed form; half-width (1 std err) = {half:.4g}, "
-        "tolerance = 3 std errs",
-    )
 
 
 def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[OracleReport]:
     """The Monte-Carlo reports of ``verify --suite all`` from one engine call.
 
-    They equal ``mc_value_check(p, grid, n_paths, seed, (UNINFORMED,
-    INFORMED_FROM_START))`` followed by ``report_indifference(p, grid,
-    n_paths, seed)``, bit for bit, but draw and step every scenario once.
-    One antithetic run of 2 n_paths serves both: its path 2j is keyed draw j
-    with a + sign, which every engine step treats elementwise, so its even
-    paths are the plain run of n_paths, and its first n_paths paths are the
-    antithetic run of n_paths.  The mirrors of the later keys are dropped.
+    For the uninformed and then the informed-from-start mode: the MC expected
+    utility against the closed-form value at t = 0, within 3 standard errors,
+    and a martingale check that the ensemble mean of the value function along
+    optimal paths stays at its t = 0 value at the horizon quartiles (3
+    standard errors per time).  Last, the MC indifference price against the
+    closed form, within 3 half-widths.
+
+    The value reports are those of a plain run of n_paths and the price report
+    is that of ``indifference_log_ratio(p, grid, n_paths, seed)``, bit for bit,
+    but every scenario is drawn and stepped once.  One antithetic run of
+    2 n_paths serves both: its path 2j is keyed draw j with a + sign, which
+    every engine step treats elementwise, so its even paths are the plain run
+    of n_paths, and its first n_paths paths are the antithetic run of n_paths.
+    The mirrors of the later keys are dropped.
     """
     for antithetic in (False, True):  # the two runs the shared one stands for
         path_sim.check_path_count(n_paths, antithetic)
@@ -401,16 +317,55 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
             f"n_paths must be at most {path_sim.MAX_PATHS // 2}, as the checks run "
             f"2 n_paths paths, got {n_paths}"
         )
-    modes = (UNINFORMED, INFORMED_FROM_START)
+    check_times = tuple(f * grid.t_end for f in _MARTINGALE_FRACTIONS)
     uninformed, informed = path_sim.mc_multi(
-        p, grid, 2 * n_paths, seed, [path_sim.Arm(mode) for mode in modes],
-        antithetic=True, snapshot_times=_check_times(grid),
+        p, grid, 2 * n_paths, seed,
+        [path_sim.Arm(UNINFORMED), path_sim.Arm(INFORMED_FROM_START)],
+        antithetic=True, snapshot_times=check_times,
     )
-    plain = [_even_paths(run) for run in (uninformed, informed)]
-    reports = _value_reports(p, grid, modes, plain, n_paths, seed, None)
+    # (label, run, snapshot signal the position uses, value function V(t, x, signal))
+    modes = (
+        ("uninformed", uninformed, "y_hat",
+         lambda t, x, y: closed_form.value_uninformed(p, t, x, y)),
+        ("informed", informed, "y",
+         lambda t, x, y: closed_form.value_informed(p, t, x, y, 0.0)),
+    )
+    reports = []
+    for label, run, signal, value in modes:
+        plain = _even_paths(run)
+        closed0 = float(value(0.0, p.x0, p.y0))
+        est = plain.estimate()
+        detail = (
+            f"terminal MC utility vs closed form at t=0 ({label}); tolerance = 3 std errs "
+            f"(abs {3.0 * est.std_err:.3e}), n_paths={n_paths}, seed={seed}"
+        )
+        reports.append(_report(f"mc_value_{label}", est.mean, closed0, 3.0 * est.std_err, detail))
+
+        z_scores = []
+        for t_check in check_times:
+            idx = grid.index_of(t_check)
+            snap = plain.snapshots[idx]
+            values = np.asarray(value(grid.t[idx], snap["x"], snap[signal]))
+            mean, se = path_sim.mean_std_err(values, plain.antithetic)
+            z_scores.append((grid.t[idx], path_sim.z_score(mean, se, closed0)))
+        worst = float(np.max(np.abs([z for _, z in z_scores])))
+        detail = (
+            f"max |z| of mean value-function drift from t=0 over quartiles ({label}); "
+            + ", ".join(f"t={t:g}: z={z:+.2f}" for t, z in z_scores)
+        )
+        reports.append(_report(f"mc_martingale_{label}", worst, 0.0, 3.0, detail))
+
     first = slice(0, n_paths)
-    c_mc, half = _log_ratio(p, informed.exponents[first], uninformed.exponents[first], True)
-    reports.append(_price_report(p, c_mc, half, n_paths, seed))
+    c_mc, half = _log_ratio(p, informed.exponents[first], uninformed.exponents[first])
+    reports.append(_report(
+        "mc_indifference_price",
+        c_mc,
+        closed_form.continuous_price(p).c_hat_0T,
+        3.0 * half,
+        f"MC log ratio (common random numbers, antithetic, n_paths={n_paths}, "
+        f"seed={seed}) vs closed form; half-width (1 std err) = {half:.4g}, "
+        "tolerance = 3 std errs",
+    ))
     return reports
 
 
@@ -463,27 +418,6 @@ def kernel_identity_residual(p: ModelParams, n_lattice: int = 20) -> float:
     return worst
 
 
-def highprec_uninformed_strategy(p: ModelParams, t: float, y_hat: float, dps: int = 50) -> float:
-    """Extended-precision recomputation of the filtered-signal position."""
-    # imported here, its only use: mpmath adds about a tenth to the import
-    # time of every command, none of which calls this
-    import mpmath
-
-    with mpmath.workdps(dps):
-        a = mpmath.mpf(p.sigma_y) / mpmath.mpf(p.sigma_z)
-        num = (
-            (mpmath.mpf(p.mu) + mpmath.mpf(y_hat))
-            * mpmath.cosh(a * (mpmath.mpf(p.t_end) - mpmath.mpf(t)))
-            * mpmath.cosh(a * mpmath.mpf(t))
-        )
-        den = (
-            mpmath.mpf(p.gamma)
-            * mpmath.mpf(p.sigma_z) ** 2
-            * mpmath.cosh(a * mpmath.mpf(p.t_end))
-        )
-        return float(num / den)
-
-
 # --- report bundles used by the CLI verification suites ---
 
 def report_single_period(p: ModelParams, rel_tol: float = 1e-8) -> list[OracleReport]:
@@ -534,25 +468,15 @@ def report_kernel(p: ModelParams, tol: float = 1e-6, n_lattice: int = 20) -> Ora
     )
 
 
-def report_indifference(
-    p: ModelParams, grid: TimeGrid, n_paths: int, seed: int
-) -> OracleReport:
-    c_mc, half = indifference_log_ratio(p, grid, n_paths, seed, antithetic=True)
-    return _price_report(p, c_mc, half, n_paths, seed)
-
-
 __all__ = [
     "OracleReport",
     "SinglePeriodOracle",
     "single_period_oracle",
     "ode_oracle",
-    "mc_value_check",
     "indifference_log_ratio",
     "mc_reports",
     "kernel_identity_residual",
-    "highprec_uninformed_strategy",
     "report_single_period",
     "report_ode",
     "report_kernel",
-    "report_indifference",
 ]

@@ -12,9 +12,7 @@ import time
 import numpy as np
 
 from signalprice import (
-    INFORMED_FROM_START,
     ModelParams,
-    UNINFORMED,
     make_grid,
     subscribe_at,
     validate,
@@ -56,8 +54,7 @@ def test_criterion_01_continuous_price(params, grid):
     target = 5.0 * math.tanh(2.0)
     exact = abs(closed - target) <= 1e-14 * target
     with Stopwatch() as clock:
-        c_mc, half = vo.indifference_log_ratio(params, grid, 200_000, SEED,
-                                                antithetic=True)
+        c_mc, half = vo.indifference_log_ratio(params, grid, 200_000, SEED)
     brackets = abs(c_mc - closed) <= half
     tight = half < 0.05
     in_time = clock.elapsed < 120.0
@@ -127,12 +124,12 @@ def test_criterion_05_kernel_identity(params):
 
 def test_criterion_06_martingale_checks(params, grid):
     with Stopwatch() as clock:
-        oks, details = [], []
-        for mode, label in ((INFORMED_FROM_START, "informed"), (UNINFORMED, "uninformed")):
-            reports = vo.mc_value_check(params, grid, 100_000, SEED, (mode,))
-            martingale = next(r for r in reports if r.name.startswith("mc_martingale"))
-            oks.append(martingale.passed)
-            details.append(f"{label} max|z|={martingale.observed:.2f}")
+        reports = {r.name: r for r in vo.mc_reports(params, grid, 100_000, SEED)}
+    oks, details = [], []
+    for label in ("informed", "uninformed"):
+        martingale = reports[f"mc_martingale_{label}"]
+        oks.append(martingale.passed)
+        details.append(f"{label} max|z|={martingale.observed:.2f}")
     report(6, all(oks), f"value means constant over horizon quartiles at 1e5 paths "
                         f"({'; '.join(details)}), {clock.elapsed:.0f}s")
 

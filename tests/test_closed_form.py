@@ -7,6 +7,8 @@ import pytest
 from signalprice import ModelParams, validate
 from signalprice import closed_form as cf
 
+from highprec import highprec_uninformed_strategy
+
 
 def make_params(**overrides):
     base = dict(mu=0.05, sigma_y=0.1, sigma_z=0.05, gamma=0.1,
@@ -152,7 +154,6 @@ class TestStrategies:
         assert got == pytest.approx(cf.informed_strategy(params, 0.0, params.y0), rel=1e-14)
 
     def test_uninformed_against_high_precision(self, params):
-        from signalprice.verify_oracles import highprec_uninformed_strategy
         got = float(cf.uninformed_strategy(params, 0.5, 0.0))
         want = highprec_uninformed_strategy(params, 0.5, 0.0)
         assert got == pytest.approx(want, rel=1e-14)

@@ -107,6 +107,12 @@ class TestRunStrategy:
         with pytest.raises(DomainError):
             ps.run_strategy(params, coarse_grid, b, subscribe_at(1.5))
 
+    @pytest.mark.parametrize("charge", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lump_charge_rejected(self, params, coarse_grid, charge):
+        b = next(ps.simulate_paths(params, coarse_grid, 1, 7))
+        with pytest.raises(DomainError, match="charge must be finite"):
+            ps.run_strategy(params, coarse_grid, b, INFORMED_FROM_START, charge=charge)
+
 
 class TestEngineConsistency:
     def test_engine_matches_per_path_api(self, params, coarse_grid):
@@ -144,6 +150,28 @@ class TestEngineConsistency:
             for k, snap in a.snapshots.items():
                 for name, values in snap.items():
                     assert np.array_equal(values, b.snapshots[k][name][0::2]), (k, name)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_two_arm_call_equals_one_arm_calls(self, params, coarse_grid, antithetic):
+        # arms share paths without touching each other's state
+        arms = [ps.Arm(UNINFORMED), ps.Arm(INFORMED_FROM_START)]
+        run = lambda arms: ps.mc_multi(params, coarse_grid, 200, 12, arms,
+                                       antithetic=antithetic, snapshot_times=(0.5, 1.0))
+        both = run(arms)
+        for arm, shared in zip(arms, both):
+            (alone,) = run([arm])
+            assert np.array_equal(shared.exponents, alone.exponents)
+            assert shared.snapshots.keys() == alone.snapshots.keys()
+            for k, snap in alone.snapshots.items():
+                for name, values in snap.items():
+                    if values is not None:  # an informed arm alone runs no filter
+                        assert np.array_equal(shared.snapshots[k][name], values), (k, name)
+
+    @pytest.mark.parametrize("charge", [math.nan, math.inf])
+    def test_non_finite_lump_charge_rejected(self, params, coarse_grid, charge):
+        arm = ps.Arm(INFORMED_FROM_START, charge=charge)
+        with pytest.raises(DomainError, match="charge must be finite"):
+            ps.mc_multi(params, coarse_grid, 10, 9, [arm])
 
     def test_antithetic_requires_even_paths(self, params, coarse_grid):
         with pytest.raises(DomainError, match="n_paths must be even"):

@@ -182,6 +182,16 @@ class TestTimingSolver:
         with pytest.raises(ScheduleDomainError):
             st.latest_time(params, short, grid)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("solve", [
+        st.earliest_time,
+        st.latest_time,
+        lambda p, sched, grid, tol: st.value_flexible(p, 0.0, 0.0, 0.0, sched, grid, tol),
+    ], ids=["earliest_time", "latest_time", "value_flexible"])
+    def test_unusable_tol_rejected(self, params, grid, schedules, solve, tol):
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            solve(params, schedules["constant"], grid, tol)
+
     def test_bump_interval_must_be_interior(self, params, grid):
         with pytest.raises(ScheduleDomainError):
             st.bumped_schedule(params, grid, 0.0, 0.8, 1.0, 1.0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from signalprice import (
-    DomainError,
     INFORMED_FROM_START,
     ModelParams,
     UNINFORMED,
@@ -15,6 +14,8 @@ from signalprice import (
 from signalprice import closed_form as cf
 from signalprice import path_sim as ps
 from signalprice import verify_oracles as vo
+
+from highprec import highprec_uninformed_strategy
 
 
 def make_params(**overrides):
@@ -98,43 +99,23 @@ class TestKernelOracle:
         assert r.passed and r.expected == 0.0
 
 
+@pytest.fixture(scope="module")
+def verify_reports(params, grid):
+    return vo.mc_reports(params, grid, 20_000, 12)
+
+
 class TestMcValueCheck:
-    def test_uninformed_passes(self, params, grid):
-        reports = vo.mc_value_check(params, grid, 20_000, 12, (UNINFORMED,))
-        assert [r.name for r in reports] == ["mc_value_uninformed", "mc_martingale_uninformed"]
-        assert all(r.passed for r in reports)
+    """The value and martingale reports of ``mc_reports``."""
 
-    def test_informed_passes(self, params, grid):
-        reports = vo.mc_value_check(params, grid, 20_000, 12, (INFORMED_FROM_START,))
-        assert all(r.passed for r in reports)
-
-    def test_zero_policy_hook_exact(self, params, coarse_grid):
-        reports = vo.mc_value_check(
-            params, coarse_grid, 100, 3, (UNINFORMED,),
-            policy=lambda t, y, yh, inf: 0.0,
-            reference=-math.exp(-params.gamma * params.x0),
-        )
-        (report,) = reports
-        assert report.passed
-        assert report.observed == report.expected == -1.0
-        assert report.tolerance == 0.0
-
-    def test_mid_horizon_mode_rejected(self, params, grid):
-        from signalprice import subscribe_at
-        with pytest.raises(DomainError):
-            vo.mc_value_check(params, grid, 100, 3, (UNINFORMED, subscribe_at(0.5)))
-
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_shared_draw_matches_single_mode_calls(self, params, coarse_grid, antithetic):
-        both = vo.mc_value_check(params, coarse_grid, 2_000, 12,
-                                 (UNINFORMED, INFORMED_FROM_START), antithetic=antithetic)
-        apart = [
-            report
-            for mode in (UNINFORMED, INFORMED_FROM_START)
-            for report in vo.mc_value_check(params, coarse_grid, 2_000, 12, (mode,),
-                                            antithetic=antithetic)
+    def test_uninformed_passes(self, verify_reports):
+        assert [r.name for r in verify_reports] == [
+            "mc_value_uninformed", "mc_martingale_uninformed",
+            "mc_value_informed", "mc_martingale_informed", "mc_indifference_price",
         ]
-        assert [r.as_dict() for r in both] == [r.as_dict() for r in apart]
+        assert all(r.passed for r in verify_reports[:2])
+
+    def test_informed_passes(self, verify_reports):
+        assert all(r.passed for r in verify_reports[2:4])
 
 
 class TestIndifferenceLogRatio:
@@ -158,8 +139,8 @@ class TestIndifferenceLogRatio:
 
     def test_report(self, params):
         grid = make_grid(1.0, 500)
-        r = vo.report_indifference(params, grid, 30_000, 5)
-        assert r.passed
+        r = vo.mc_reports(params, grid, 30_000, 5)[-1]
+        assert r.name == "mc_indifference_price" and r.passed
 
     def test_is_the_root_of_the_utility_gap(self, params, coarse_grid):
         # the charge C* that makes E[U_I] exp(gamma C*) = E[U_UI], as a bisection finds it
@@ -181,7 +162,7 @@ class TestIndifferenceLogRatio:
         c_mc, half = vo.indifference_log_ratio(shifted, grid, 4096, 12)
         assert c_mc == pytest.approx(base[0], rel=rel)
         assert half == pytest.approx(base[1], rel=rel)
-        assert vo.report_indifference(shifted, grid, 4096, 12).passed
+        assert vo.mc_reports(shifted, grid, 4096, 12)[-1].passed
 
     def test_shared_draw_matches_separate_runs(self, params, coarse_grid, monkeypatch):
         shared = vo.indifference_log_ratio(params, coarse_grid, 2_000, 5)
@@ -196,8 +177,8 @@ class TestIndifferenceLogRatio:
 
 
 class TestMcReports:
-    """One antithetic run of 2n paths gives what a plain and an antithetic run
-    of n paths give, field for field."""
+    """One antithetic run of 2n paths gives the value reports of a plain run of
+    n paths and the price report of ``indifference_log_ratio(n)``."""
 
     @pytest.mark.parametrize("n_paths, n_steps, chunk_size, x0", [
         (1000, 50, None, 0.0),     # one chunk in every run
@@ -207,26 +188,33 @@ class TestMcReports:
     ])
     def test_equals_the_separate_runs(self, monkeypatch, n_paths, n_steps, chunk_size, x0):
         p, grid, seed = make_params(x0=x0), make_grid(1.0, n_steps), 3
-        separate = vo.mc_value_check(p, grid, n_paths, seed, (UNINFORMED, INFORMED_FROM_START))
-        separate.append(vo.report_indifference(p, grid, n_paths, seed))
+        arms = [ps.Arm(UNINFORMED), ps.Arm(INFORMED_FROM_START)]
+        plain = ps.mc_multi(p, grid, n_paths, seed, arms)
+        c_mc, half = vo.indifference_log_ratio(p, grid, n_paths, seed)
         if chunk_size is not None:
             engine = ps.mc_multi
             monkeypatch.setattr(ps, "mc_multi", lambda *args, **kwargs: engine(
                 *args, **kwargs, chunk_size=chunk_size))
-        shared = vo.mc_reports(p, grid, n_paths, seed)
-        np.testing.assert_equal([r.as_dict() for r in shared], [r.as_dict() for r in separate])
+        reports = {r.name: r for r in vo.mc_reports(p, grid, n_paths, seed)}
+        for label, run in zip(("uninformed", "informed"), plain):
+            est = run.estimate()
+            value = reports[f"mc_value_{label}"]
+            np.testing.assert_equal((value.observed, value.tolerance),
+                                    (est.mean, 3.0 * est.std_err))
+        price = reports["mc_indifference_price"]
+        np.testing.assert_equal((price.observed, price.tolerance), (c_mc, 3.0 * half))
         if x0 != 0.0:
-            assert any(not math.isfinite(r.tolerance) for r in shared)
+            assert any(not math.isfinite(r.tolerance) for r in reports.values())
 
 
 class TestHighPrecisionStrategy:
     def test_matches_closed_form(self, params):
-        got = vo.highprec_uninformed_strategy(params, 0.37, 0.05)
+        got = highprec_uninformed_strategy(params, 0.37, 0.05)
         want = float(cf.uninformed_strategy(params, 0.37, 0.05))
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_independent_of_float_path(self, params):
         # the mpmath route agrees with itself at higher precision
-        a = vo.highprec_uninformed_strategy(params, 0.5, 0.0, dps=30)
-        b = vo.highprec_uninformed_strategy(params, 0.5, 0.0, dps=60)
+        a = highprec_uninformed_strategy(params, 0.5, 0.0, dps=30)
+        b = highprec_uninformed_strategy(params, 0.5, 0.0, dps=60)
         assert a == pytest.approx(b, rel=1e-15)
