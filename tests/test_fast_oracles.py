@@ -1,15 +1,24 @@
-"""The RK4 and kernel-identity oracles against frozen copies of the code they replaced.
+"""The fast oracles against frozen copies of the code they replaced.
 
 ``ode_oracle`` once built a numpy array for every right-hand-side evaluation
 and ``kernel_identity_residual`` ran one quadrature per (t, u) lattice pair.
 Those versions are kept below verbatim, and the rewritten oracles must return
 exactly what they return, bit for bit, on every configuration here.
+
+``single_period_oracle`` once found each position by a coarse scan and
+golden-section search.  That version is kept verbatim too; the Newton oracle
+must give its price to 1e-14 relative, and its position to 1e-14 of the closed
+form, where the golden-section search is off by up to 6e-12.
 """
 
 import math
+from typing import Callable
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
+from numpy.polynomial.hermite import hermgauss
 
 from signalprice import ModelParams, make_grid
 from signalprice import closed_form, signal_filter
@@ -79,6 +88,88 @@ def _frozen_kernel_identity_residual(p, n_lattice=20):
     return worst
 
 
+def _frozen_gh_standard_normal(n=64):
+    x, w = hermgauss(n)
+    return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+
+
+def _frozen_golden_max(f: Callable, lo: np.ndarray, hi: np.ndarray, scan: int = 256,
+                       iters: int = 80):
+    """Vectorized maximizer: coarse scan, golden-section, parabolic polish.
+
+    ``f`` maps a vector of abscissae (one per problem) to a vector of values;
+    all problems iterate in lockstep.  Comparison-based search alone stalls at
+    the sqrt(eps * f/f'') curvature floor, so one parabolic-vertex step with a
+    wide stencil recovers full argument accuracy on smooth optima.
+    """
+    lo = np.asarray(lo, dtype=float).copy()
+    hi = np.asarray(hi, dtype=float).copy()
+    fracs = np.linspace(0.0, 1.0, scan)
+    values = np.stack([f(lo + frac * (hi - lo)) for frac in fracs])
+    best = np.argmax(values, axis=0)
+    step = (hi - lo) / (scan - 1)
+    centers = lo + best * step
+    lo = np.maximum(lo, centers - step)
+    hi = np.minimum(hi, centers + step)
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        take_left = fc >= fd
+        hi = np.where(take_left, d, hi)
+        lo = np.where(take_left, lo, c)
+        c = hi - invphi * (hi - lo)
+        d = lo + invphi * (hi - lo)
+        fc, fd = f(c), f(d)
+    x = 0.5 * (lo + hi)
+
+    h = 1e-3 * (1.0 + np.abs(x))
+    f0, f_minus, f_plus = f(x), f(x - h), f(x + h)
+    curvature = f_plus - 2.0 * f0 + f_minus
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shift = 0.5 * h * (f_minus - f_plus) / curvature
+    usable = np.isfinite(shift) & (curvature < 0.0) & (np.abs(shift) <= h)
+    x = np.where(usable, x + shift, x)
+    return x, f(x)
+
+
+def _frozen_single_period_oracle(p):
+    z, w = _frozen_gh_standard_normal()
+    y_nodes = p.y0 + p.sigma_y * z
+    gains = p.mu + y_nodes[:, None] + p.sigma_z * z[None, :]  # (signal, noise)
+    w2 = w[:, None] * w[None, :]
+
+    def v_uninformed(phi):
+        phi = np.asarray(phi, dtype=float)
+        with np.errstate(over="ignore"):
+            vals = -(w2[None, :, :] * np.exp(
+                -p.gamma * (phi[:, None, None] * gains[None, :, :])
+            )).sum(axis=(1, 2))
+        return vals
+
+    span = 100.0 * (abs(p.mu + p.y0) + 1.0) / (p.gamma * (p.sigma_y**2 + p.sigma_z**2))
+    phi_ui, v_ui = _frozen_golden_max(v_uninformed, np.array([-span]), np.array([span]))
+    phi_ui, v_ui = float(phi_ui[0]), float(v_ui[0])
+
+    def v_informed_nodes(phi):
+        # phi: one candidate position per signal node; inner sum over noise
+        with np.errstate(over="ignore"):
+            expo = -p.gamma * (phi[:, None] * gains)
+            return -(np.exp(expo) * w[None, :]).sum(axis=1)
+
+    node_span = 100.0 * (np.abs(p.mu + y_nodes) + 1.0) / (p.gamma * p.sigma_z**2)
+    _, v_nodes = _frozen_golden_max(v_informed_nodes, -node_span, node_span)
+    v_informed0 = float(np.dot(w, v_nodes))  # informed value at zero charge
+
+    # numpy turns a zero or non-finite value into inf or nan; np.maximum keeps a nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v_ui_x0 = float(v_ui * np.exp(-p.gamma * p.x0))
+        c_hat = np.maximum(0.0, (np.log(-v_ui) - np.log(-v_informed0)) / p.gamma)
+    return vo.SinglePeriodOracle(phi_ui, v_ui_x0, float(c_hat))
+
+
 # --- configurations ---
 
 WORKED = dict(mu=0.05, sigma_y=0.1, sigma_z=0.05, gamma=0.1,
@@ -106,6 +197,15 @@ CONFIGS = _lattice() + [
     dict(WORKED, x0=-7050.0),
     dict(WORKED, sigma_y=0.0),
     dict(WORKED, t_end=5.0, mu=-0.3, y0=0.2),
+]
+
+
+# the reference point and the 3x3x3 lattice of acceptance criterion 02
+CRITERION_02 = [WORKED] + [
+    dict(WORKED, gamma=g, sigma_y=sy, sigma_z=sz)
+    for g in (0.05, 0.1, 0.5)
+    for sy in (0.05, 0.1, 0.2)
+    for sz in (0.1, 0.15, 0.2)
 ]
 
 
@@ -154,3 +254,67 @@ def test_kernel_identity_detects_a_time_dependent_kernel(monkeypatch, params):
     monkeypatch.setattr(signal_filter, "hitsuda_kernel",
                         lambda p, t, u: exact(p, t, u) * (1.0 + 0.1 * t))
     assert vo.kernel_identity_residual(params) > 1e-6
+
+
+@pytest.mark.parametrize("config", CONFIGS + CRITERION_02,
+                         ids=[f"config{i}" for i in range(len(CONFIGS))]
+                         + [f"criterion02_{i}" for i in range(len(CRITERION_02))])
+def test_one_shot_oracle_matches_frozen_golden_section(config):
+    p = ModelParams(**config)
+    frozen = _frozen_single_period_oracle(p)
+    got = vo.single_period_oracle(p)
+    assert math.isfinite(got.c_hat) == math.isfinite(frozen.c_hat)
+    if math.isfinite(frozen.c_hat):
+        assert abs(got.c_hat - frozen.c_hat) <= 1e-14 * abs(frozen.c_hat)
+    phi = closed_form.single_period_solve(p).phi_uninformed
+    assert abs(got.phi_ui - phi) <= 1e-14 * max(1.0, abs(phi))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    log_gamma=hs.floats(-3.0, 1.0),
+    log_sigma_z=hs.floats(-3.0, 1.0),
+    ratio=hs.floats(0.0, 2.0),
+    drift=hs.floats(-1.0, 1.0),
+    share=hs.floats(0.0, 1.0),
+    x0=hs.floats(-100.0, 100.0),
+)
+def test_one_shot_oracle_resolves_the_box(log_gamma, log_sigma_z, ratio, drift, share, x0):
+    # the box sigma_y / sigma_z <= 2, |mu + y0| <= sigma_z, gamma and sigma_z
+    # in [1e-3, 10]: every problem settles and the price matches the closed form
+    sigma_z = 10.0**log_sigma_z
+    mu = share * drift * sigma_z
+    p = ModelParams(**dict(WORKED, gamma=10.0**log_gamma, sigma_y=ratio * sigma_z,
+                           sigma_z=sigma_z, mu=mu, y0=drift * sigma_z - mu, x0=x0))
+    solve, phis = vo._newton_max, []
+
+    def recorded(*args):
+        phi, values = solve(*args)
+        phis.append(phi)
+        return phi, values
+
+    with mock.patch.object(vo, "_newton_max", recorded):
+        got = vo.single_period_oracle(p)
+    assert [phi.size for phi in phis] == [1, 64]
+    assert all(np.isfinite(phi).all() for phi in phis)  # an unsettled problem gives nan
+    closed = closed_form.single_period_solve(p).c_hat
+    assert got.c_hat >= 0.0
+    assert abs(got.c_hat - closed) <= 1e-8 * max(1.0, abs(closed))
+
+
+def test_one_sided_problems_settle_at_their_edge():
+    # all gains of one sign: the optimum lies beyond the bracket edge
+    gains = np.array([[1.0, 2.0], [-1.0, -2.0], [-1.0, 1.0]])
+    phi, values = vo._newton_max(0.5, gains, np.array([0.5, 0.5]),
+                                 np.full(3, -10.0), np.full(3, 10.0))
+    assert phi.tolist() == [10.0, -10.0, 0.0]
+    assert values[2] == -1.0
+
+
+def test_unsettled_problem_fails_the_check(monkeypatch, params):
+    # the worked example's informed problems need 6 steps
+    monkeypatch.setattr(vo, "_NEWTON_ITERS", 3)
+    oracle = vo.single_period_oracle(params)
+    assert math.isnan(oracle.c_hat)
+    price, position = vo.report_single_period(params)
+    assert not price.passed and position.passed

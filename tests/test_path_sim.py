@@ -45,6 +45,18 @@ class TestSimulatePaths:
         assert not np.array_equal(base.s, other_seed.s)
         assert not np.array_equal(base.s, second_index.s)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rekeyed_draws_are_fresh_generators(self, seed):
+        # one drawer re-keyed in turn, after draws that leave part of Philox's
+        # output buffer unread, gives each key the draws of a fresh generator
+        drawer = ps._SubstreamDrawer(seed)
+        for index in (0, 1, 2**63 + 3, 2**64 - 1, 1):
+            for size in (3, 8):
+                key = np.array([seed, index], dtype=np.uint64)
+                fresh = np.random.Generator(np.random.Philox(key=key))
+                got = drawer.normals(index, np.empty(size))
+                assert np.array_equal(got, fresh.standard_normal(size))
+
     def test_initial_values(self, params, coarse_grid):
         b = next(ps.simulate_paths(params, coarse_grid, 1, 1))
         assert b.y[0] == params.y0 and b.s[0] == params.s0
