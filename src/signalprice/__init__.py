@@ -33,7 +33,6 @@ from .model_core import (
 from .path_sim import (
     McEstimate,
     PathBundle,
-    expected_utility,
     run_strategy,
     simulate_paths,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "McEstimate",
     "simulate_paths",
     "run_strategy",
-    "expected_utility",
     "RateSchedule",
     "ScheduleDomainError",
     "TimingResult",

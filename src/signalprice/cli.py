@@ -32,12 +32,9 @@ from .model_core import (
     load_config,
     make_grid,
     subscribe_at,
+    write_csv,
 )
 from .subscription_timing import RateSchedule
-
-
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _to_json(obj) -> str:
@@ -55,7 +52,7 @@ def _to_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(obj) if math.isfinite(obj) else "null"
+        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -111,11 +108,7 @@ def cmd_rates(cfg: RunConfig, n_points: int) -> int:
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     rates_path = os.path.join(cfg.out_dir, "rates.csv")
-    with open(rates_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,c_hat_t,c_bar,ell_t\n")
-        for k in range(n_points):
-            row = (t[k], c_hat_t[k], c_bar, ell_t[k])
-            fh.write(",".join(_format_float(v) for v in row) + "\n")
+    write_csv(rates_path, "t,c_hat_t,c_bar,ell_t", [t, c_hat_t, [c_bar] * n_points, ell_t])
 
     schedule_path = os.path.join(cfg.out_dir, "c_hat_schedule.csv")
     RateSchedule(t, c_hat_t).to_csv(schedule_path)
@@ -160,16 +153,15 @@ def cmd_simulate(
             raise DomainError("simulate --mode subscribe needs --schedule and --t-star")
         mode, mode_charge = subscribe_at(t_star), schedule
 
-    est = path_sim.expected_utility(
-        p, grid, cfg.mc.n_paths, cfg.mc.seed, mode=mode, charge=mode_charge,
+    est = path_sim.mc_multi(
+        p, grid, cfg.mc.n_paths, cfg.mc.seed, [path_sim.Arm(mode, mode_charge)],
         antithetic=antithetic,
-    )
+    )[0].estimate()
     closed = _closed_form_reference(cfg, mode_name, charge, schedule, t_star)
     z = path_sim.z_score(est.mean, est.std_err, closed)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     for index, bundle in enumerate(path_sim.simulate_paths(p, grid, dump_paths, cfg.mc.seed)):
-        y_hat = path_sim.filtered_signal(p, grid, bundle)
         wealth = {
             "informed": path_sim.run_strategy(
                 p, grid, bundle, INFORMED_FROM_START,
@@ -183,9 +175,9 @@ def cmd_simulate(
             )
         path_sim.write_path_csv(
             os.path.join(cfg.out_dir, f"path_{index:05d}.csv"),
-            grid.t, bundle.y, y_hat, bundle.s, wealth,
+            grid.t, bundle.y, bundle.y_hat, bundle.s, wealth,
         )
-        _write_value_csv(cfg, index, bundle, y_hat, wealth, charge, schedule)
+        _write_value_csv(cfg, index, bundle, wealth, schedule)
 
     print(_to_json({
         "mc_mean": est.mean,
@@ -196,33 +188,24 @@ def cmd_simulate(
     return 0
 
 
-def _write_value_csv(cfg, index, bundle, y_hat, wealth, charge, schedule) -> None:
-    """Closed-form value functions along one path (value-comparison figure data)."""
-    p, grid = cfg.params, cfg.grid
-    v_ui = closed_form.value_uninformed(p, grid.t, wealth["uninformed"], y_hat)
-    v_i = closed_form.value_informed(p, grid.t, wealth["informed"], bundle.y)
-    columns = {"v_uninformed": v_ui, "v_informed": v_i}
-    flexible_until = None
+def _write_value_csv(cfg, index, bundle, wealth, schedule) -> None:
+    """Closed-form value functions along one path (value-comparison figure data).
+
+    With a schedule, the flexible value runs up to the latest purchase time
+    and its later cells are empty.
+    """
+    p, grid, y_hat = cfg.params, cfg.grid, bundle.y_hat
+    columns = {
+        "v_uninformed": closed_form.value_uninformed(p, grid.t, wealth["uninformed"], y_hat),
+        "v_informed": closed_form.value_informed(p, grid.t, wealth["informed"], bundle.y),
+    }
     if schedule is not None:
-        tau_l = subscription_timing.latest_time(p, schedule, grid)
-        flexible_until = grid.index_of(tau_l)
-        t_head = grid.t[: flexible_until + 1]
-        v_f = subscription_timing.value_flexible(
-            p, t_head, wealth["uninformed"][: flexible_until + 1],
-            y_hat[: flexible_until + 1], schedule, grid,
+        head = slice(grid.index_of(subscription_timing.latest_time(p, schedule, grid)) + 1)
+        columns["v_flexible"] = subscription_timing.value_flexible(
+            p, grid.t[head], wealth["uninformed"][head], y_hat[head], schedule, grid,
         )
-        columns["v_flexible"] = v_f
     path = os.path.join(cfg.out_dir, f"values_{index:05d}.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t," + ",".join(columns) + "\n")
-        for k in range(grid.t.shape[0]):
-            cells = [_format_float(grid.t[k])]
-            for name, col in columns.items():
-                if name == "v_flexible" and k > flexible_until:
-                    cells.append("")
-                else:
-                    cells.append(_format_float(col[k]))
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, "t," + ",".join(columns), [grid.t, *columns.values()])
 
 
 def cmd_subscribe(cfg: RunConfig, schedule: RateSchedule, tol: float) -> int:

@@ -3,11 +3,13 @@
 Every type here is immutable.  ``ModelParams`` and ``InformationMode`` check
 their domain when built (``dataclasses.replace`` included), so every other
 module takes them as valid and never re-checks or mutates them.
+``write_csv`` is the one CSV writer of the package.
 """
 
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -124,15 +126,6 @@ class InformationMode:
         if t_star is not None and (not math.isfinite(t_star) or t_star < 0.0):
             raise DomainError(f"subscribe time must be finite and >= 0, got {t_star!r}")
 
-    def is_informed_at(self, time: float) -> bool:
-        return self.subscribe_time is not None and time >= self.subscribe_time
-
-    def snapped_to(self, grid: TimeGrid) -> "InformationMode":
-        """Snap t* to the nearest grid point, ties toward the earlier point."""
-        if self.subscribe_time is None:
-            return self
-        return InformationMode(float(grid.t[grid.index_of(self.subscribe_time)]))
-
 
 UNINFORMED = InformationMode(None)
 INFORMED_FROM_START = InformationMode(0.0)
@@ -233,6 +226,18 @@ def load_config(path: str) -> tuple[ModelParams, TimeGrid, McSettings]:
         return parse_config(fh.read())
 
 
+def write_csv(path, header: str, columns) -> None:
+    """CSV of ``columns`` under a ``header`` line, numbers at 17 significant
+    digits (they round-trip); shorter columns end in empty cells."""
+    # formatting Python floats column by column is faster than numpy scalars
+    # cell by cell, and gives the same text
+    cells = [[format(v, ".17g") for v in np.asarray(col).tolist()] for col in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in itertools.zip_longest(*cells, fillvalue=""):
+            fh.write(",".join(row) + "\n")
+
+
 __all__ = [
     "DomainError",
     "ModelParams",
@@ -246,4 +251,5 @@ __all__ = [
     "make_grid",
     "parse_config",
     "load_config",
+    "write_csv",
 ]

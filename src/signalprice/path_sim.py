@@ -21,10 +21,10 @@ updated in place.  It reads the increments in blocks of a few dozen steps,
 scaled and transposed into one reused time-major buffer, so a chunk holds
 its draws plus one block and no (n+1, m) path matrix.  The one-path API
 runs the same step code on floats: ``simulate_paths`` is the case without
-arms and ``run_strategy`` steps one arm's wealth along a bundle's stored
-signal, so the engine and the API agree bit for bit.  The filter step
-evaluates ``signal_filter.filter_path``'s recursion in the same order, so
-``filtered_signal`` matches the engine's filtered signal too.
+arms, filter included, and ``run_strategy`` steps one arm's wealth along a
+bundle's stored signal and filtered signal, so the engine and the API agree
+bit for bit.  ``_Wealth`` is the one place that resolves arms (purchase
+index, charges, whether the filter is needed) for both.
 ``mc_multi`` evaluates several (mode, charge) arms on one shared set of
 paths: common random numbers for indifference comparisons.
 ``mean_std_err`` is the one standard-error rule, pairing antithetic values,
@@ -47,6 +47,7 @@ from .model_core import (
     ModelParams,
     TimeGrid,
     UNINFORMED,
+    write_csv,
 )
 from .subscription_timing import RateSchedule
 
@@ -135,16 +136,19 @@ def _increment_rows(z: np.ndarray, dt: float, antithetic: bool) -> Iterator[tupl
 class _Wealth:
     """Every arm's wealth on shared paths, advanced one step at a time.
 
-    Wealth is one float per arm for a single path, or one (m,) array per arm
-    updated in place.  ``arms`` holds (k_star, lump, per-step schedule rates,
-    policy) per arm.  Arms without a policy share the two position rules
-    (true signal once subscribed, filtered signal before), so each rule's
-    gain is formed once per step.
+    Built once per run: each ``Arm`` is resolved to (k_star, lump, per-step
+    schedule rates, policy), and ``needs_filter`` says whether any arm reads
+    the filtered signal.  ``start(m)`` sets the initial wealth, one float per
+    arm for a single path (``m`` None) or one (m,) array per arm, updated in
+    place.  Arms without a policy share the two position rules (true signal
+    once subscribed, filtered signal before), so each rule's gain is formed
+    once per step.
     """
 
-    def __init__(self, p: ModelParams, grid: TimeGrid, arms, m: int | None):
+    def __init__(self, p: ModelParams, grid: TimeGrid, arms: list[Arm]):
         t = grid.t
         tk = t[:-1]
+        self.x0 = p.x0
         self.mu, self.sigma_z = p.mu, p.sigma_z
         self.dt = float(t[1] - t[0])
         self.gs = p.gamma * p.sigma_z**2
@@ -152,13 +156,21 @@ class _Wealth:
         self.tk = tk.tolist()
         # deterministic part of the filtered-signal position, one value per step
         self.ufac = (_cosh_cosh_over_cosh(a * (p.t_end - tk), a * tk) / self.gs).tolist()
-        # an arm that never subscribes gets k_star = n + 1: never informed, never charged
-        self.arms = [
-            (grid.n_steps + 1 if k_star is None else k_star, lump,
-             None if rates is None else rates.tolist(), policy)
-            for k_star, lump, rates, policy in arms
-        ]
-        fresh = lambda: float(p.x0) if m is None else np.full(m, p.x0)
+        self.arms = []
+        for arm in arms:
+            k_star, lump, rates = _resolve_charges(p, grid, arm.mode, arm.charge)
+            # an arm that never subscribes gets k_star = n + 1: never informed, never charged
+            self.arms.append((grid.n_steps + 1 if k_star is None else k_star, lump,
+                              None if rates is None else rates.tolist(), arm.policy))
+        # only arms informed from the start without a policy never read the filter
+        self.needs_filter = any(
+            policy is not None or k_star > 0 for k_star, _, _, policy in self.arms
+        )
+        self.x = []
+
+    def start(self, m: int | None) -> None:
+        """Initial wealth x0, less a lump paid at t = 0: floats, or (m,) rows."""
+        fresh = lambda: float(self.x0) if m is None else np.full(m, self.x0)
         self.x = [fresh() - lump if k_star == 0 else fresh() for k_star, lump, _, _ in self.arms]
 
     def step(self, k: int, y, my, y_hat, bz) -> None:
@@ -201,6 +213,8 @@ def _integrate(p: ModelParams, grid: TimeGrid, rows, y, s, y_hat=None, wealth=No
     The state is floats (one path) or (m,) arrays, which are updated in place:
     a consumer copies what it keeps before asking for the next step.
     ``y_hat`` None skips the filter; ``wealth`` advances with the same rows.
+    The filter step is ``signal_filter.filter_path``'s recursion evaluated in
+    the same order, so the two agree bit for bit.
     """
     mu, sigma_y, sigma_z = p.mu, p.sigma_y, p.sigma_z
     dt = float(grid.t[1] - grid.t[0])
@@ -232,10 +246,10 @@ def _integrate(p: ModelParams, grid: TimeGrid, rows, y, s, y_hat=None, wealth=No
 
 @dataclass
 class PathBundle:
-    """One simulated scenario.
+    """One simulated scenario: increments, signal, price and filtered signal.
 
-    ``y_hat`` is filled lazily (first call to ``filtered_signal``).
-    Increments have variance dt and are reproducible from (seed, index).
+    ``y_hat`` comes from the same step loop as ``y`` and ``s``.  Increments
+    have variance dt and are reproducible from (seed, index).
     """
 
     t: np.ndarray
@@ -243,13 +257,11 @@ class PathBundle:
     bz_incr: np.ndarray
     y: np.ndarray
     s: np.ndarray
-    y_hat: np.ndarray | None = None
+    y_hat: np.ndarray
 
 
 def filtered_signal(p: ModelParams, grid: TimeGrid, bundle: PathBundle) -> np.ndarray:
-    """Filtered signal along the bundle's price path (cached on the bundle)."""
-    if bundle.y_hat is None:
-        bundle.y_hat = signal_filter.filter_path(p, grid, bundle.s).y_hat
+    """Filtered signal along the bundle's price path, as the step loop computed it."""
     return bundle.y_hat
 
 
@@ -259,14 +271,12 @@ def simulate_paths(
     """Yield ``n_paths`` independent scenarios, one per (seed, index) substream."""
     drawer = _SubstreamDrawer(seed)
     sqdt = math.sqrt(grid.dt)
+    start = float(p.y0), float(p.s0), float(p.y0)
     for index in range(n_paths):
         by, bz = sqdt * drawer.normals(index, np.empty((2, grid.n_steps)))
         rows = zip(by.tolist(), bz.tolist())
-        y, s = [], []
-        for y_k, s_k, _ in _integrate(p, grid, rows, float(p.y0), float(p.s0)):
-            y.append(y_k)
-            s.append(s_k)
-        yield PathBundle(t=grid.t, by_incr=by, bz_incr=bz, y=np.array(y), s=np.array(s))
+        y, s, y_hat = map(np.array, zip(*_integrate(p, grid, rows, *start)))
+        yield PathBundle(t=grid.t, by_incr=by, bz_incr=bz, y=y, s=s, y_hat=y_hat)
 
 
 def _resolve_charges(
@@ -275,12 +285,14 @@ def _resolve_charges(
     mode: InformationMode,
     charge: float | RateSchedule,
 ):
-    """(k_star, lump, per-step schedule rates) for a mode/charge combination."""
+    """(k_star, lump, per-step schedule rates) for a mode/charge combination.
+
+    t* is snapped to the nearest grid index, ties toward the earlier point.
+    """
     if mode.subscribe_time is not None and mode.subscribe_time > grid.t_end + 0.5 * grid.dt:
         raise DomainError(
             f"subscribe time {mode.subscribe_time!r} is beyond the horizon {grid.t_end!r}"
         )
-    mode = mode.snapped_to(grid)
     k_star = None if mode.subscribe_time is None else grid.index_of(mode.subscribe_time)
     lump = 0.0
     sched_rates = None
@@ -310,14 +322,13 @@ def run_strategy(
     is deducted at the purchase time; a RateSchedule accrues c(t_k) dt per
     subscribed step.  ``policy`` overrides the position rule (test hook).
     """
-    k_star, lump, sched_rates = _resolve_charges(p, grid, mode, charge)
-    needs_filter = policy is not None or k_star is None or k_star > 0
-    y_hat = filtered_signal(p, grid, bundle).tolist() if needs_filter else [None] * grid.n_steps
-    wealth = _Wealth(p, grid, [(k_star, lump, sched_rates, policy)], None)
+    wealth = _Wealth(p, grid, [Arm(mode, charge, policy)])
+    wealth.start(None)
     step, x, mu = wealth.step, wealth.x, p.mu
     path = [x[0]]
-    for k, (y, y_hat_k, bz) in enumerate(zip(bundle.y.tolist(), y_hat, bundle.bz_incr.tolist())):
-        step(k, y, mu + y, y_hat_k, bz)
+    rows = zip(bundle.y.tolist(), bundle.y_hat.tolist(), bundle.bz_incr.tolist())
+    for k, (y, y_hat, bz) in enumerate(rows):
+        step(k, y, mu + y, y_hat, bz)
         path.append(x[0])
     return np.array(path)
 
@@ -420,11 +431,8 @@ def mc_multi(
     computed) filtered signal for martingale-style checks.
     """
     check_path_count(n_paths, antithetic)
-    resolved = [_resolve_charges(p, grid, arm.mode, arm.charge) for arm in arms]
-    needs_filter = any(
-        arm.policy is not None or k_star is None or k_star > 0
-        for arm, (k_star, _, _) in zip(arms, resolved)
-    )
+    wealth = _Wealth(p, grid, arms)
+    needs_filter = wealth.needs_filter
     snap_idx = tuple(sorted({grid.index_of(s) for s in snapshot_times}))
 
     runs = [
@@ -445,7 +453,6 @@ def mc_multi(
     if antithetic:
         chunk_size += chunk_size % 2
 
-    policies = [(*charges, arm.policy) for arm, charges in zip(arms, resolved)]
     drawer = _SubstreamDrawer(seed)
     per_key = 2 if antithetic else 1
     # one draw buffer for every chunk; the last chunk may use part of it
@@ -453,7 +460,7 @@ def mc_multi(
     for start in range(0, n_paths, chunk_size):
         m = min(chunk_size, n_paths - start)
         z = drawer.fill(start // per_key, draws[: m // per_key])
-        wealth = _Wealth(p, grid, policies, m)
+        wealth.start(m)
         steps = _integrate(
             p, grid, _increment_rows(z, grid.dt, antithetic),
             np.full(m, p.y0), np.full(m, p.s0),
@@ -473,29 +480,10 @@ def mc_multi(
     return runs
 
 
-def expected_utility(
-    p: ModelParams,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    mode: InformationMode = UNINFORMED,
-    charge: float | RateSchedule = 0.0,
-    antithetic: bool = False,
-    policy: Policy | None = None,
-) -> McEstimate:
-    """Monte-Carlo estimate of E[-exp(-gamma X_T)] under a mode."""
-    arm = Arm(mode, charge, policy)
-    return mc_multi(p, grid, n_paths, seed, [arm], antithetic=antithetic)[0].estimate()
-
-
 def write_path_csv(path, t, y, y_hat, s, wealth_columns: dict[str, np.ndarray]) -> None:
     """One scenario as CSV: t,y,y_hat,s,x_<label> columns, 17 significant digits."""
     header = "t,y,y_hat,s," + ",".join(f"x_{label}" for label in wealth_columns)
-    cols = [t, y, y_hat, s, *wealth_columns.values()]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_csv(path, header, [t, y, y_hat, s, *wealth_columns.values()])
 
 
 __all__ = [
@@ -510,6 +498,5 @@ __all__ = [
     "run_strategy",
     "check_path_count",
     "mc_multi",
-    "expected_utility",
     "write_path_csv",
 ]

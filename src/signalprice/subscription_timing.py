@@ -38,7 +38,7 @@ from .closed_form import (
     rate_bound,
     utility_from_exponent,
 )
-from .model_core import DomainError, ModelParams, TimeGrid
+from .model_core import DomainError, ModelParams, TimeGrid, write_csv
 
 
 class ScheduleDomainError(ValueError):
@@ -101,10 +101,7 @@ class RateSchedule:
         return self._cumulative(t1) - self._cumulative(t0)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,c\n")
-            for t, c in zip(self.knots, self.values):
-                fh.write(f"{t:.17g},{c:.17g}\n")
+        write_csv(path, "t,c", [self.knots, self.values])
 
     @classmethod
     def from_csv(cls, path) -> "RateSchedule":

@@ -66,6 +66,14 @@ def _report(name, observed, expected, tolerance, detail) -> OracleReport:
     return OracleReport(name, observed, expected, tolerance, passed, detail)
 
 
+# Tolerances and sizes of the deterministic (``verify --suite fast``) reports
+_SINGLE_PERIOD_REL_TOL = 1e-8
+_ODE_STEPS = 2001
+_ODE_TOL = 1e-8
+_KERNEL_TOL = 1e-6
+_KERNEL_LATTICE = 20
+
+
 # --- one-shot model oracle ---
 
 _GH_NODES = 64
@@ -375,7 +383,7 @@ def _even_paths(run: path_sim.McRun) -> path_sim.McRun:
 
 # --- price-filtration kernel identity ---
 
-def kernel_identity_residual(p: ModelParams, n_lattice: int = 20) -> float:
+def kernel_identity_residual(p: ModelParams, n_lattice: int = _KERNEL_LATTICE) -> float:
     """Max residual of sigma_z k(t,u) - int_0^u k(t,v) k(u,v) dv + sigma_y^2 u.
 
     Evaluated by adaptive quadrature on an n x n (t, u) lattice restricted to
@@ -414,7 +422,8 @@ def kernel_identity_residual(p: ModelParams, n_lattice: int = 20) -> float:
 
 # --- report bundles used by the CLI verification suites ---
 
-def report_single_period(p: ModelParams, rel_tol: float = 1e-8) -> list[OracleReport]:
+def report_single_period(p: ModelParams) -> list[OracleReport]:
+    rel_tol = _SINGLE_PERIOD_REL_TOL
     oracle = single_period_oracle(p)
     solution = closed_form.single_period_solve(p)
     scale = max(1.0, abs(solution.c_hat))
@@ -437,28 +446,28 @@ def report_single_period(p: ModelParams, rel_tol: float = 1e-8) -> list[OracleRe
     return reports
 
 
-def report_ode(p: ModelParams, n_steps: int = 2001, tol: float = 1e-8) -> list[OracleReport]:
-    errors = ode_oracle(p, make_grid(p.t_end, n_steps))
+def report_ode(p: ModelParams) -> list[OracleReport]:
+    errors = ode_oracle(p, make_grid(p.t_end, _ODE_STEPS))
     return [
         _report(
             f"ode_{name}",
             err,
             0.0,
-            tol,
-            f"max |closed form - RK4 backward| over {n_steps}-step grid; absolute",
+            _ODE_TOL,
+            f"max |closed form - RK4 backward| over {_ODE_STEPS}-step grid; absolute",
         )
         for name, err in errors.items()
     ]
 
 
-def report_kernel(p: ModelParams, tol: float = 1e-6, n_lattice: int = 20) -> OracleReport:
-    residual = kernel_identity_residual(p, n_lattice)
+def report_kernel(p: ModelParams) -> OracleReport:
+    n = _KERNEL_LATTICE
     return _report(
         "kernel_identity",
-        residual,
+        kernel_identity_residual(p),
         0.0,
-        tol,
-        f"max Volterra-identity residual on a {n_lattice}x{n_lattice} lattice; absolute",
+        _KERNEL_TOL,
+        f"max Volterra-identity residual on a {n}x{n} lattice; absolute",
     )
 
 

@@ -6,10 +6,8 @@ import pytest
 
 from signalprice import (
     DomainError,
-    INFORMED_FROM_START,
     InformationMode,
     ModelParams,
-    UNINFORMED,
     make_grid,
     subscribe_at,
     validate,
@@ -76,6 +74,16 @@ class TestGrid:
         assert g.t.shape == (n + 1,)
         assert np.all(np.diff(g.t) > 0)
 
+    def test_index_of_nearest(self):
+        g = make_grid(1.0, 4)
+        assert g.index_of(0.3) == 1
+        assert g.index_of(0.45) == 2
+
+    def test_index_of_tie_goes_earlier(self):
+        g = make_grid(1.0, 4)
+        assert g.index_of(0.125) == 0
+        assert g.index_of(0.375) == 1
+
     def test_zero_steps_rejected(self):
         with pytest.raises(DomainError):
             make_grid(1.0, 0)
@@ -87,29 +95,6 @@ class TestGrid:
 
 
 class TestInformationMode:
-    def test_uninformed_never_informed(self):
-        assert not UNINFORMED.is_informed_at(0.0)
-        assert not UNINFORMED.is_informed_at(1.0)
-
-    def test_informed_from_start(self):
-        assert INFORMED_FROM_START.is_informed_at(0.0)
-
-    def test_subscribe_at_midpoint(self):
-        m = subscribe_at(0.5)
-        assert not m.is_informed_at(0.25)
-        assert m.is_informed_at(0.5)
-        assert m.is_informed_at(0.75)
-
-    def test_snap_to_nearest(self):
-        g = make_grid(1.0, 4)
-        assert subscribe_at(0.3).snapped_to(g).subscribe_time == 0.25
-        assert subscribe_at(0.45).snapped_to(g).subscribe_time == 0.5
-
-    def test_snap_tie_goes_earlier(self):
-        g = make_grid(1.0, 4)
-        assert subscribe_at(0.125).snapped_to(g).subscribe_time == 0.0
-        assert subscribe_at(0.375).snapped_to(g).subscribe_time == 0.25
-
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             subscribe_at(-0.1)

@@ -138,6 +138,16 @@ class TestEngineConsistency:
                 x = ps.run_strategy(params, coarse_grid, b, mode)
                 assert -np.exp(-params.gamma * x[-1]) == run.utilities[i]
 
+    def test_purchase_time_snaps_to_the_nearest_grid_point(self, params):
+        # on a 4-step grid t* = 0.375 ties between 0.25 and 0.5 and goes earlier
+        grid = make_grid(1.0, 4)
+        tie, earlier, later = (
+            ps.mc_multi(params, grid, 20, 9, [ps.Arm(subscribe_at(t), charge=1.0)])[0].utilities
+            for t in (0.375, 0.25, 0.5)
+        )
+        assert np.array_equal(tie, earlier)
+        assert not np.array_equal(tie, later)
+
     def test_chunk_size_invariance(self, params, coarse_grid):
         a = ps.mc_multi(params, coarse_grid, 10, 9, [ps.Arm(UNINFORMED)], chunk_size=3)[0]
         b = ps.mc_multi(params, coarse_grid, 10, 9, [ps.Arm(UNINFORMED)], chunk_size=10)[0]
@@ -215,15 +225,15 @@ class TestEngineConsistency:
 
 class TestExpectedUtility:
     def test_zero_policy_degenerate(self, params, coarse_grid):
-        est = ps.expected_utility(params, coarse_grid, 50, 3, mode=UNINFORMED,
-                                  policy=lambda t, y, yh, inf: 0.0)
+        arm = ps.Arm(UNINFORMED, policy=lambda t, y, yh, inf: 0.0)
+        est = ps.mc_multi(params, coarse_grid, 50, 3, [arm])[0].estimate()
         assert est.mean == -math.exp(-params.gamma * params.x0) == -1.0
         assert est.std_err == 0.0
 
     def test_zero_policy_degenerate_any_wealth_and_aversion(self, coarse_grid):
         p = dyadic_params(mu=0.25, sigma_y=0.5, sigma_z=0.5, gamma=2.0, x0=1.5)
-        est = ps.expected_utility(p, coarse_grid, 20, 3, mode=UNINFORMED,
-                                  policy=lambda t, y, yh, inf: 0.0)
+        arm = ps.Arm(UNINFORMED, policy=lambda t, y, yh, inf: 0.0)
+        est = ps.mc_multi(p, coarse_grid, 20, 3, [arm])[0].estimate()
         assert est.mean == -math.exp(-2.0 * 1.5)
         assert est.std_err == 0.0
 
@@ -268,8 +278,8 @@ class TestExpectedUtility:
         errors = []
         for steps in (8, 32, 128):
             grid = make_grid(1.0, steps)
-            est = ps.expected_utility(params, grid, 60_000, 3, mode=UNINFORMED,
-                                      antithetic=True)
+            est = ps.mc_multi(params, grid, 60_000, 3, [ps.Arm(UNINFORMED)],
+                              antithetic=True)[0].estimate()
             errors.append(abs(est.mean - vu))
         assert errors[0] > errors[1] > errors[2]
 

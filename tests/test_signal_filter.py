@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from signalprice import ModelParams, make_grid, validate
+from signalprice import ModelParams, make_grid, subscribe_at, validate
+from signalprice import path_sim as ps
 from signalprice import signal_filter as sf
 from signalprice.signal_filter import LengthMismatch
 
@@ -47,6 +48,43 @@ class TestFilterPath:
     def test_length_mismatch(self, params, coarse_grid):
         with pytest.raises(LengthMismatch):
             sf.filter_path(params, coarse_grid, np.zeros(17))
+
+
+# The worked example, exact binary arithmetic, and a sharp signal (gain near
+# sigma_y after a few steps).
+FILTER_PARAMS = [
+    dict(mu=0.05, sigma_y=0.1, sigma_z=0.05, gamma=0.1, x0=0.0, y0=0.0, s0=10.0, t_end=1.0),
+    dict(mu=0.25, sigma_y=0.5, sigma_z=0.5, gamma=0.5, x0=0.0, y0=0.25, s0=1.0, t_end=1.0),
+    dict(mu=-0.3, sigma_y=2.0, sigma_z=0.01, gamma=3.0, x0=1.0, y0=-0.5, s0=5.0, t_end=2.0),
+]
+
+
+@pytest.mark.parametrize("fields", FILTER_PARAMS)
+@pytest.mark.parametrize("n_steps,seed", [(8, 0), (70, 11), (300, 2**64 - 1)])
+def test_filter_path_is_the_step_loop_filter(fields, n_steps, seed):
+    # Nothing in the package calls filter_path on simulated paths: the one-path
+    # API and the engine filter inside their step loop.  Filtering a bundle's
+    # price path must give the bundle's y_hat, the y_hat a policy arm reads in
+    # run_strategy and the engine's y_hat snapshots, bit for bit.
+    p = validate(ModelParams(**fields))
+    grid = make_grid(p.t_end, n_steps)
+    seen = []
+
+    def policy(t, y, y_hat, informed):
+        seen.append(y_hat)
+        return 0.5 * (y if informed else y_hat)
+
+    arm = ps.Arm(subscribe_at(0.5 * p.t_end), policy=policy)
+    (run,) = ps.mc_multi(p, grid, 4, seed, [arm], snapshot_times=tuple(grid.t))
+    engine = np.array([run.snapshots[k]["y_hat"] for k in range(n_steps + 1)])
+    for i, bundle in enumerate(ps.simulate_paths(p, grid, 4, seed)):
+        want = sf.filter_path(p, grid, bundle.s).y_hat
+        assert want.tobytes() == bundle.y_hat.tobytes()
+        assert ps.filtered_signal(p, grid, bundle) is bundle.y_hat
+        assert want.tobytes() == engine[:, i].tobytes()
+        seen.clear()
+        ps.run_strategy(p, grid, bundle, arm.mode, policy=policy)
+        assert want[:-1].tobytes() == np.array(seen).tobytes()
 
 
 class TestHitsudaKernel:

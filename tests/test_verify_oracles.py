@@ -95,7 +95,7 @@ class TestKernelOracle:
         assert vo.kernel_identity_residual(params, n_lattice=10) < 1e-6
 
     def test_report(self, params):
-        r = vo.report_kernel(params, n_lattice=8)
+        r = vo.report_kernel(params)
         assert r.passed and r.expected == 0.0
 
 
