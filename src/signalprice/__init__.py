@@ -44,7 +44,6 @@ from .subscription_timing import (
     earliest_time,
     ell,
     indifference_rate,
-    latest_time,
     value_committed,
     value_flexible,
     value_prepurchase,
@@ -85,7 +84,6 @@ __all__ = [
     "TimingResult",
     "ell",
     "indifference_rate",
-    "latest_time",
     "earliest_time",
     "value_prepurchase",
     "value_committed",

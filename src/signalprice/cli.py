@@ -200,7 +200,8 @@ def _write_value_csv(cfg, index, bundle, wealth, schedule) -> None:
         "v_informed": closed_form.value_informed(p, grid.t, wealth["informed"], bundle.y),
     }
     if schedule is not None:
-        head = slice(grid.index_of(subscription_timing.latest_time(p, schedule, grid)) + 1)
+        tau_l = subscription_timing.earliest_time(p, schedule, grid).tau_l
+        head = slice(grid.index_of(tau_l) + 1)
         columns["v_flexible"] = subscription_timing.value_flexible(
             p, grid.t[head], wealth["uninformed"][head], y_hat[head], schedule, grid,
         )

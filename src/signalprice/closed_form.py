@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -214,38 +213,28 @@ def continuous_price(p: ModelParams) -> ContinuousPriceResult:
 class SinglePeriodSolution:
     """One-shot strategies, values, and the signal price.
 
-    ``v_informed_at(C)`` evaluates the informed value at an arbitrary charge;
-    ``v_informed`` is its value at the charge this solution was built with.
+    ``v_informed`` is the informed value with no charge for the signal; a
+    charge C paid out of wealth scales it by exp(gamma C).
     """
 
     phi_informed_coeff: float
     phi_uninformed: float
     v_uninformed: float
     c_hat: float
-    charge: float
     v_informed: float
-    v_informed_at: Callable[[float], float]
 
 
-def single_period_solve(p: ModelParams, charge: float = 0.0) -> SinglePeriodSolution:
+def single_period_solve(p: ModelParams) -> SinglePeriodSolution:
     """Solve the one-shot model (sigma_y, sigma_z as one-period deviations)."""
     var_sum = p.sigma_y**2 + p.sigma_z**2
     quad = (p.mu + p.y0) ** 2 / (2.0 * var_sum)
     log_term = math.log1p(p.sigma_y**2 / p.sigma_z**2)
-
-    def v_informed_at(c: float) -> float:
-        exponent = -p.gamma * (p.x0 - c) - quad - 0.5 * log_term
-        return float(utility_from_exponent(exponent))
-
-    v_uninformed = float(utility_from_exponent(-p.gamma * p.x0 - quad))
     return SinglePeriodSolution(
         phi_informed_coeff=1.0 / (p.gamma * p.sigma_z**2),
         phi_uninformed=(p.mu + p.y0) / (p.gamma * var_sum),
-        v_uninformed=v_uninformed,
+        v_uninformed=float(utility_from_exponent(-p.gamma * p.x0 - quad)),
         c_hat=log_term / (2.0 * p.gamma),
-        charge=charge,
-        v_informed=v_informed_at(charge),
-        v_informed_at=v_informed_at,
+        v_informed=float(utility_from_exponent(-p.gamma * p.x0 - quad - 0.5 * log_term)),
     )
 
 

@@ -199,7 +199,7 @@ def parse_config(text: str) -> tuple[ModelParams, TimeGrid, McSettings]:
 
     def as_int(section: str, key: str) -> int:
         v = values[section][key]
-        if v != int(v):
+        if not math.isfinite(v) or v != int(v):
             raise DomainError(f"config [{section}] {key}: must be an integer, got {v!r}")
         return int(v)
 

@@ -24,7 +24,9 @@ runs the same step code on floats: ``simulate_paths`` is the case without
 arms, filter included, and ``run_strategy`` steps one arm's wealth along a
 bundle's stored signal and filtered signal, so the engine and the API agree
 bit for bit.  ``_Wealth`` is the one place that resolves arms (purchase
-index, charges, whether the filter is needed) for both.
+index, charges, whether the filter is needed) for both.  Every arm holds
+one of the two closed-form position rules at each step: the true-signal
+rule once subscribed, the filtered-signal rule before.
 ``mc_multi`` evaluates several (mode, charge) arms on one shared set of
 paths: common random numbers for indifference comparisons.
 ``mean_std_err`` is the one standard-error rule, pairing antithetic values,
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -50,11 +52,6 @@ from .model_core import (
     write_csv,
 )
 from .subscription_timing import RateSchedule
-
-# position hook signature: (t_k, y_k, y_hat_k | None, informed) -> positions;
-# y_k and y_hat_k are (m,) rows in the engine and floats in ``run_strategy``
-Policy = Callable[[float, np.ndarray, np.ndarray | None, bool], np.ndarray]
-
 
 class _SubstreamDrawer:
     """Draws from per-path Philox substreams keyed by (seed, index).
@@ -137,23 +134,21 @@ class _Wealth:
     """Every arm's wealth on shared paths, advanced one step at a time.
 
     Built once per run: each ``Arm`` is resolved to (k_star, lump, per-step
-    schedule rates, policy), and ``needs_filter`` says whether any arm reads
-    the filtered signal.  ``start(m)`` sets the initial wealth, one float per
-    arm for a single path (``m`` None) or one (m,) array per arm, updated in
-    place.  Arms without a policy share the two position rules (true signal
-    once subscribed, filtered signal before), so each rule's gain is formed
-    once per step.
+    schedule rates), and ``needs_filter`` says whether any arm reads the
+    filtered signal.  ``start(m)`` sets the initial wealth, one float per arm
+    for a single path (``m`` None) or one (m,) array per arm, updated in
+    place.  An arm holds the true-signal rule once subscribed and the
+    filtered-signal rule before, so each step forms each rule's gain at most
+    once, whatever the number of arms.
     """
 
     def __init__(self, p: ModelParams, grid: TimeGrid, arms: list[Arm]):
-        t = grid.t
-        tk = t[:-1]
+        tk = grid.t[:-1]
         self.x0 = p.x0
         self.mu, self.sigma_z = p.mu, p.sigma_z
-        self.dt = float(t[1] - t[0])
+        self.dt = grid.dt
         self.gs = p.gamma * p.sigma_z**2
         a = noise_ratio(p)
-        self.tk = tk.tolist()
         # deterministic part of the filtered-signal position, one value per step
         self.ufac = (_cosh_cosh_over_cosh(a * (p.t_end - tk), a * tk) / self.gs).tolist()
         self.arms = []
@@ -161,17 +156,15 @@ class _Wealth:
             k_star, lump, rates = _resolve_charges(p, grid, arm.mode, arm.charge)
             # an arm that never subscribes gets k_star = n + 1: never informed, never charged
             self.arms.append((grid.n_steps + 1 if k_star is None else k_star, lump,
-                              None if rates is None else rates.tolist(), arm.policy))
-        # only arms informed from the start without a policy never read the filter
-        self.needs_filter = any(
-            policy is not None or k_star > 0 for k_star, _, _, policy in self.arms
-        )
+                              None if rates is None else rates.tolist()))
+        # only arms informed from the start never read the filter
+        self.needs_filter = any(k_star > 0 for k_star, _, _ in self.arms)
         self.x = []
 
     def start(self, m: int | None) -> None:
         """Initial wealth x0, less a lump paid at t = 0: floats, or (m,) rows."""
         fresh = lambda: float(self.x0) if m is None else np.full(m, self.x0)
-        self.x = [fresh() - lump if k_star == 0 else fresh() for k_star, lump, _, _ in self.arms]
+        self.x = [fresh() - lump if k_star == 0 else fresh() for k_star, lump, _ in self.arms]
 
     def step(self, k: int, y, my, y_hat, bz) -> None:
         """Step k: positions from information at t_k (``my`` is mu + y), the
@@ -179,24 +172,18 @@ class _Wealth:
         then schedule and lump charges."""
         dt, x = self.dt, self.x
         rules = [None, None]  # gains of the filtered-signal and the true-signal rule
-        for i, (k_star, lump, rates, policy) in enumerate(self.arms):
+        for i, (k_star, lump, rates) in enumerate(self.arms):
             informed = k >= k_star
-            if policy is None and rules[informed] is not None:
-                drift, noise = rules[informed]
-            else:
-                if policy is not None:
-                    phi = policy(self.tk[k], y, y_hat, informed)
-                elif informed:
-                    phi = my / self.gs
-                else:
-                    phi = (self.mu + y_hat) * self.ufac[k]
+            rule = rules[informed]
+            if rule is None:
+                phi = my / self.gs if informed else (self.mu + y_hat) * self.ufac[k]
                 # (phi my) dt and (sigma_z phi) dB^Z, rounded as the sum rounds them
                 drift = phi * my
                 drift *= dt
                 noise = self.sigma_z * phi
                 noise *= bz
-                if policy is None:
-                    rules[informed] = drift, noise
+                rule = rules[informed] = drift, noise
+            drift, noise = rule
             x_i = x[i]
             x_i += drift
             x_i += noise
@@ -217,7 +204,7 @@ def _integrate(p: ModelParams, grid: TimeGrid, rows, y, s, y_hat=None, wealth=No
     the same order, so the two agree bit for bit.
     """
     mu, sigma_y, sigma_z = p.mu, p.sigma_y, p.sigma_z
-    dt = float(grid.t[1] - grid.t[0])
+    dt = grid.dt
     if y_hat is not None:
         gains = signal_filter.filter_gain(p, grid.t[:-1]).tolist()
     yield y, s, y_hat
@@ -313,16 +300,15 @@ def run_strategy(
     bundle: PathBundle,
     mode: InformationMode,
     charge: float | RateSchedule = 0.0,
-    policy: Policy | None = None,
 ) -> np.ndarray:
     """Wealth path of one scenario under a mode's optimal position rule.
 
     The position at t_k uses only information available at t_k: the true
     signal once subscribed, the filtered signal otherwise.  A lump ``charge``
     is deducted at the purchase time; a RateSchedule accrues c(t_k) dt per
-    subscribed step.  ``policy`` overrides the position rule (test hook).
+    subscribed step.
     """
-    wealth = _Wealth(p, grid, [Arm(mode, charge, policy)])
+    wealth = _Wealth(p, grid, [Arm(mode, charge)])
     wealth.start(None)
     step, x, mu = wealth.step, wealth.x, p.mu
     path = [x[0]]
@@ -388,11 +374,10 @@ class McRun:
 
 @dataclass(frozen=True)
 class Arm:
-    """One (mode, charge, policy) evaluation sharing the common paths."""
+    """One (mode, charge) evaluation sharing the common paths."""
 
     mode: InformationMode = UNINFORMED
     charge: float | RateSchedule = 0.0
-    policy: Policy | None = None
 
 
 def check_path_count(n_paths: int, antithetic: bool) -> None:

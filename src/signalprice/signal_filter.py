@@ -73,7 +73,7 @@ def filter_path(p: ModelParams, grid: TimeGrid, s_path: np.ndarray) -> FilteredP
             f"price path has {s.shape[0]} points, grid has {t.shape[0]}"
         )
     n = t.shape[0] - 1
-    dt = t[1] - t[0]
+    dt = grid.dt
     gains = filter_gain(p, t[:-1])
     y_hat = np.empty_like(s)
     innov = np.empty((n,) + s.shape[1:], dtype=float)

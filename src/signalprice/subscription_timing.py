@@ -173,14 +173,6 @@ def _solve(p: ModelParams, schedule: RateSchedule, grid: TimeGrid, tol: float):
     return F, k_l, tol_abs
 
 
-def latest_time(
-    p: ModelParams, schedule: RateSchedule, grid: TimeGrid, tol: float = 1e-9
-) -> float:
-    """Latest worthwhile purchase time for ``schedule``, to +-dt accuracy."""
-    _, k_l, _ = _solve(p, schedule, grid, tol)
-    return float(grid.t[k_l])
-
-
 @dataclass(frozen=True)
 class TimingResult:
     """Earliest/latest optimal purchase times and everything in between.
@@ -239,16 +231,16 @@ def value_committed(
 ) -> float:
     """Value at t = 0 of committing to buy the feed at the grid point nearest t*.
 
-    -exp(pre(0) - gamma F(t*)): the value of buying at 0, discounted by the
-    timing profile.  Equals ``value_flexible`` at t = 0 when t* = tau_l and is
-    at most that at any other t*.  Past exp's range (-gamma F(t*) above
-    ~709.78) the factor is inf, so the value is -inf, as numpy would give.
+    -exp(pre(0) - gamma F(t*)), where pre(0) is the exponent of buying at 0,
+    discounted by the timing profile.  Equals ``value_flexible`` at t = 0 when
+    t* = tau_l and is at most that at any other t*.  The exponent is summed
+    before -exp is applied, so the value is finite wherever the sum is at
+    most ~709.78, and -inf beyond.
     """
-    pre0 = float(value_prepurchase(p, 0.0, p.x0, p.y0, schedule))
-    try:
-        return pre0 * math.exp(-p.gamma * profile(p, schedule, grid)[grid.index_of(t_star)])
-    except OverflowError:
-        return pre0 * math.inf
+    schedule.require_cover(0.0, p.t_end)
+    pre0 = _prepurchase_exponent(p, 0.0, p.x0, p.y0, schedule)
+    f_star = profile(p, schedule, grid)[grid.index_of(t_star)]
+    return float(utility_from_exponent(pre0 - p.gamma * f_star))
 
 
 def value_flexible(
@@ -313,7 +305,6 @@ __all__ = [
     "ell",
     "indifference_rate",
     "profile",
-    "latest_time",
     "earliest_time",
     "value_prepurchase",
     "value_committed",

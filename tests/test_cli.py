@@ -131,6 +131,21 @@ class TestPrice:
         assert main(["price", "--config", config_file, "--steps", "0"]) == 2
         assert "n_steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("section,key,line", [
+        ("horizon", "steps", "steps = 1000"),
+        ("mc", "paths", "paths = 5000"),
+        ("mc", "seed", "seed = 12"),
+    ])
+    def test_non_finite_integer_exits_2(self, capsys, tmp_path, section, key, line, value):
+        path = tmp_path / "nonfinite.ini"
+        path.write_text(CONFIG.replace(line, f"{key} = {value}"))
+        code = main(["price", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"config [{section}] {key}: must be an integer" in err
+        assert "Traceback" not in err
+
 
 class TestRates:
     def test_curve_values_and_feedback(self, capsys, config_file, tmp_path, params, grid):
@@ -272,20 +287,37 @@ class TestSimulate:
         got = json.loads(out)
         assert abs(got["z_score"]) <= 3.0
 
-    def test_subscribe_mode_past_the_exp_range(self, capsys, tmp_path):
-        # sigma_y T / sigma_z = 3000 under a zero schedule: -gamma F(t*) at
-        # t* = 1 is past ~709.78, so the committed value is -inf
+    def _sharp_subscribe(self, capsys, tmp_path, x0, t_star):
+        # sigma_y T / sigma_z = 3000 under a zero schedule, 10 steps
         path = tmp_path / "sharp.ini"
         path.write_text(CONFIG.replace("sigma_y = 0.1", "sigma_y = 3")
-                        .replace("sigma_z = 0.05", "sigma_z = 1e-3"))
+                        .replace("sigma_z = 0.05", "sigma_z = 1e-3")
+                        .replace("x0 = 0.0", f"x0 = {x0}"))
         sched = tmp_path / "zero.csv"
         st.RateSchedule.constant(0.0, 1.0).to_csv(sched)
         code, out = run_cli(capsys, "simulate", "--config", str(path),
                             "--mode", "subscribe", "--schedule", str(sched),
-                            "--t-star", "1", "--paths", "10", "--steps", "10",
+                            "--t-star", t_star, "--paths", "10", "--steps", "10",
                             "--out", str(tmp_path / "sim"))
         assert code == 0
-        assert json.loads(out)["closed_form"] is None
+        return json.loads(out, parse_int=float)["closed_form"]  # -0.0 prints as -0
+
+    def test_subscribe_mode_past_the_exp_range(self, capsys, tmp_path):
+        # -gamma F(t*) at t* = 1 is past ~709.78, but the exponent
+        # pre(0) - gamma F(t*) is about -750.07, so the value underflows to -0.0
+        closed = self._sharp_subscribe(capsys, tmp_path, "0.0", "1")
+        assert closed == 0.0 and math.copysign(1.0, closed) == -1.0
+
+    @pytest.mark.parametrize("t_star,expected", [
+        # -exp(pre(0) - gamma F(t*)) in extended precision, as in
+        # TestCommittedValue.test_finite_past_the_exp_range_of_the_profile
+        ("1", -4.232667413747256e-05),
+        ("0.9", -5.867930083262026e-54),
+    ])
+    def test_subscribe_mode_reference_at_large_wealth(self, capsys, tmp_path, t_star,
+                                                      expected):
+        closed = self._sharp_subscribe(capsys, tmp_path, "-7400.0", t_star)
+        assert closed == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_negative_dump_paths_exits_2(self, capsys, config_file, tmp_path):
         out_dir = tmp_path / "sim"

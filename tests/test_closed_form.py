@@ -51,7 +51,8 @@ class TestSinglePeriod:
 
     def test_indifference_identity(self, params):
         sol = cf.single_period_solve(params)
-        assert sol.v_informed_at(sol.c_hat) == pytest.approx(sol.v_uninformed, rel=1e-12)
+        charged = sol.v_informed * math.exp(params.gamma * sol.c_hat)
+        assert charged == pytest.approx(sol.v_uninformed, rel=1e-12)
 
     def test_positions(self, params):
         sol = cf.single_period_solve(params)
@@ -60,7 +61,7 @@ class TestSinglePeriod:
 
     def test_charge_lowers_informed_value(self, params):
         sol = cf.single_period_solve(params)
-        assert sol.v_informed_at(1.0) < sol.v_informed_at(0.0) < 0.0
+        assert sol.v_informed * math.exp(params.gamma * 1.0) < sol.v_informed < 0.0
 
     def test_price_scales_inversely_with_gamma(self, params):
         base = cf.single_period_solve(params).c_hat

@@ -88,6 +88,14 @@ class TestGrid:
         with pytest.raises(DomainError):
             make_grid(1.0, 0)
 
+    def test_dt_is_the_first_step(self):
+        # the step loop and the filter take dt from grid.dt; linspace's first
+        # step is t_end / n exactly, so that is the grid's own spacing
+        rng = np.random.default_rng(0)
+        for t_end, n in zip(10.0 ** rng.uniform(-6, 6, 2000), rng.integers(1, 5000, 2000)):
+            g = make_grid(float(t_end), int(n))
+            assert g.t[1] - g.t[0] == g.t[1] == g.dt
+
     def test_grid_immutable(self):
         g = make_grid(1.0, 10)
         with pytest.raises(ValueError):

@@ -63,18 +63,20 @@ class TestSimulatePaths:
 
     def test_terminal_signal_variance(self, params):
         grid = make_grid(1.0, 50)
-        arm = ps.Arm(UNINFORMED, policy=lambda t, y, yh, inf: 0.0)
-        run = ps.mc_multi(params, grid, 100_000, 5, [arm], snapshot_times=(1.0,))[0]
+        run = ps.mc_multi(params, grid, 100_000, 5, [ps.Arm(UNINFORMED)],
+                          snapshot_times=(1.0,))[0]
         y_T = run.snapshots[grid.n_steps]["y"]
         assert np.var(y_T, ddof=1) == pytest.approx(params.sigma_y**2 * 1.0, rel=0.03)
 
 
 class TestRunStrategy:
-    def test_zero_policy_keeps_wealth_flat(self, params, coarse_grid):
-        b = next(ps.simulate_paths(params, coarse_grid, 1, 7))
-        x = ps.run_strategy(params, coarse_grid, b, UNINFORMED,
-                            policy=lambda t, y, yh, inf: 0.0)
-        assert np.all(x == params.x0)
+    def test_zero_policy_keeps_wealth_flat(self, coarse_grid):
+        # with no drift and no signal both rules hold exactly zero positions
+        p = dyadic_params(mu=0.0, sigma_y=0.0, y0=0.0)
+        b = next(ps.simulate_paths(p, coarse_grid, 1, 7))
+        for mode in (UNINFORMED, INFORMED_FROM_START):
+            x = ps.run_strategy(p, coarse_grid, b, mode)
+            assert np.all(x == p.x0)
 
     def test_subscribe_at_horizon_matches_uninformed(self, params, coarse_grid):
         zero_rate = RateSchedule.constant(0.0, 1.0)
@@ -110,8 +112,7 @@ class TestRunStrategy:
         p = dyadic_params(mu=0.0, sigma_y=0.0, sigma_z=0.5, y0=0.0)
         b = next(ps.simulate_paths(p, grid, 1, 3))
         flat = RateSchedule.constant(2.0, 1.0)
-        x_sub = ps.run_strategy(p, grid, b, subscribe_at(0.5), charge=flat,
-                                policy=lambda t, y, yh, inf: 0.0)
+        x_sub = ps.run_strategy(p, grid, b, subscribe_at(0.5), charge=flat)
         assert x_sub[-1] == -2.0 * grid.dt * 2  # steps at t=0.5 and t=0.75
 
     def test_subscribe_beyond_horizon_rejected(self, params, coarse_grid):
@@ -154,8 +155,7 @@ class TestEngineConsistency:
         assert np.array_equal(a.utilities, b.utilities)
 
     def test_antithetic_mirrors_pairs(self, params, coarse_grid):
-        arm = ps.Arm(UNINFORMED, policy=lambda t, y, yh, inf: 0.0)
-        run = ps.mc_multi(params, coarse_grid, 4, 9, [arm], antithetic=True,
+        run = ps.mc_multi(params, coarse_grid, 4, 9, [ps.Arm(UNINFORMED)], antithetic=True,
                           snapshot_times=(1.0,))[0]
         y_T = run.snapshots[coarse_grid.n_steps]["y"]
         assert y_T[1] == -y_T[0] and y_T[3] == -y_T[2]
@@ -224,18 +224,22 @@ class TestEngineConsistency:
 
 
 class TestExpectedUtility:
-    def test_zero_policy_degenerate(self, params, coarse_grid):
-        arm = ps.Arm(UNINFORMED, policy=lambda t, y, yh, inf: 0.0)
-        est = ps.mc_multi(params, coarse_grid, 50, 3, [arm])[0].estimate()
-        assert est.mean == -math.exp(-params.gamma * params.x0) == -1.0
-        assert est.std_err == 0.0
+    # with no drift and no signal both rules hold exactly zero positions
+    def test_zero_policy_degenerate(self, coarse_grid):
+        p = dyadic_params(mu=0.0, sigma_y=0.0, y0=0.0)
+        arms = [ps.Arm(UNINFORMED), ps.Arm(INFORMED_FROM_START)]
+        for run in ps.mc_multi(p, coarse_grid, 50, 3, arms):
+            est = run.estimate()
+            assert est.mean == -math.exp(-p.gamma * p.x0) == -1.0
+            assert est.std_err == 0.0
 
     def test_zero_policy_degenerate_any_wealth_and_aversion(self, coarse_grid):
-        p = dyadic_params(mu=0.25, sigma_y=0.5, sigma_z=0.5, gamma=2.0, x0=1.5)
-        arm = ps.Arm(UNINFORMED, policy=lambda t, y, yh, inf: 0.0)
-        est = ps.mc_multi(p, coarse_grid, 20, 3, [arm])[0].estimate()
-        assert est.mean == -math.exp(-2.0 * 1.5)
-        assert est.std_err == 0.0
+        p = dyadic_params(mu=0.0, sigma_y=0.0, sigma_z=0.5, gamma=2.0, x0=1.5, y0=0.0)
+        arms = [ps.Arm(UNINFORMED), ps.Arm(INFORMED_FROM_START)]
+        for run in ps.mc_multi(p, coarse_grid, 20, 3, arms):
+            est = run.estimate()
+            assert est.mean == -math.exp(-2.0 * 1.5)
+            assert est.std_err == 0.0
 
     def test_matches_closed_forms_at_t0(self, params):
         grid = make_grid(1.0, 500)

@@ -64,17 +64,11 @@ FILTER_PARAMS = [
 def test_filter_path_is_the_step_loop_filter(fields, n_steps, seed):
     # Nothing in the package calls filter_path on simulated paths: the one-path
     # API and the engine filter inside their step loop.  Filtering a bundle's
-    # price path must give the bundle's y_hat, the y_hat a policy arm reads in
-    # run_strategy and the engine's y_hat snapshots, bit for bit.
+    # price path must give the bundle's y_hat and the engine's y_hat
+    # snapshots, bit for bit.
     p = validate(ModelParams(**fields))
     grid = make_grid(p.t_end, n_steps)
-    seen = []
-
-    def policy(t, y, y_hat, informed):
-        seen.append(y_hat)
-        return 0.5 * (y if informed else y_hat)
-
-    arm = ps.Arm(subscribe_at(0.5 * p.t_end), policy=policy)
+    arm = ps.Arm(subscribe_at(0.5 * p.t_end))
     (run,) = ps.mc_multi(p, grid, 4, seed, [arm], snapshot_times=tuple(grid.t))
     engine = np.array([run.snapshots[k]["y_hat"] for k in range(n_steps + 1)])
     for i, bundle in enumerate(ps.simulate_paths(p, grid, 4, seed)):
@@ -82,9 +76,6 @@ def test_filter_path_is_the_step_loop_filter(fields, n_steps, seed):
         assert want.tobytes() == bundle.y_hat.tobytes()
         assert ps.filtered_signal(p, grid, bundle) is bundle.y_hat
         assert want.tobytes() == engine[:, i].tobytes()
-        seen.clear()
-        ps.run_strategy(p, grid, bundle, arm.mode, policy=policy)
-        assert want[:-1].tobytes() == np.array(seen).tobytes()
 
 
 class TestHitsudaKernel:

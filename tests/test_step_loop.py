@@ -110,10 +110,7 @@ def _integrate_wealth(p, t, y, y_hat, bz, k_star, lump, sched_rates, policy=None
 
 def _staged_mc_multi(p, grid, n_paths, seed, arms, antithetic, snapshot_times, chunk_size):
     resolved = [ps._resolve_charges(p, grid, arm.mode, arm.charge) for arm in arms]
-    needs_filter = any(
-        arm.policy is not None or k_star is None or k_star > 0
-        for arm, (k_star, _, _) in zip(arms, resolved)
-    )
+    needs_filter = any(k_star is None or k_star > 0 for k_star, _, _ in resolved)
     snap_idx = tuple(sorted({grid.index_of(s) for s in snapshot_times}))
     out = [{"u": np.empty(n_paths), "snap": {k: {"x": np.empty(n_paths), "y": np.empty(n_paths),
                                                    "y_hat": np.empty(n_paths)} for k in snap_idx}}
@@ -125,9 +122,9 @@ def _staged_mc_multi(p, grid, n_paths, seed, arms, antithetic, snapshot_times, c
         by, bz = _staged_increments(seed, start, m, grid.n_steps, grid.dt, antithetic)
         y, s = _integrate_signal_price(p, grid.t, by, bz)
         y_hat = _filter_prices(p, grid.t, s) if needs_filter else None
-        for res, arm, (k_star, lump, sched_rates) in zip(out, arms, resolved):
+        for res, (k_star, lump, sched_rates) in zip(out, resolved):
             x_T, snap_x = _integrate_wealth(
-                p, grid.t, y, y_hat, bz, k_star, lump, sched_rates, arm.policy,
+                p, grid.t, y, y_hat, bz, k_star, lump, sched_rates,
                 keep_path=False, snapshot_idx=snap_idx,
             )
             res["u"][start : start + m] = -np.exp(np.minimum(-p.gamma * x_T, EXPONENT_CAP))
@@ -143,10 +140,6 @@ def _staged_mc_multi(p, grid, n_paths, seed, arms, antithetic, snapshot_times, c
 
 # --- the step loop must reproduce it ---
 
-def _policy(t, y, y_hat, informed):
-    return (0.05 + (y if informed else y_hat)) * (3.0 + t)
-
-
 def _arms(params):
     flat = RateSchedule.constant(cf.continuous_price(params).c_bar, params.t_end)
     return [
@@ -155,7 +148,6 @@ def _arms(params):
         ps.Arm(subscribe_at(0.5), charge=0.3),            # lump at k* > 0
         ps.Arm(subscribe_at(0.25), charge=flat),          # rate schedule
         ps.Arm(subscribe_at(1.0), charge=flat),           # subscribes at the horizon
-        ps.Arm(subscribe_at(0.5), policy=_policy),        # policy hook
     ]
 
 
@@ -209,10 +201,10 @@ def test_per_path_api_matches_staged_oracle(params):
             assert got.shape == want.shape and _bits(got) == _bits(want)
         for arm in _arms(params):
             k_star, lump, rates = ps._resolve_charges(params, grid, arm.mode, arm.charge)
-            needs_filter = arm.policy is not None or k_star is None or k_star > 0
+            needs_filter = k_star is None or k_star > 0
             want, _ = _integrate_wealth(params, grid.t, y, y_hat if needs_filter else None, bz,
-                                        k_star, lump, rates, arm.policy)
-            got = ps.run_strategy(params, grid, bundle, arm.mode, arm.charge, arm.policy)
+                                        k_star, lump, rates)
+            got = ps.run_strategy(params, grid, bundle, arm.mode, arm.charge)
             assert got.shape == want.shape and _bits(got) == _bits(want)
 
 

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from signalprice import DomainError, ModelParams, validate
+from signalprice import DomainError, ModelParams, make_grid, validate
 from signalprice import closed_form as cf
 from signalprice import subscription_timing as st
 from signalprice.subscription_timing import RateSchedule, ScheduleDomainError
@@ -134,7 +135,7 @@ class TestTimingSolver:
     def test_latest_time_matches_earliest_result(self, params, grid, schedules):
         for sched in schedules.values():
             r = st.earliest_time(params, sched, grid)
-            assert st.latest_time(params, sched, grid) == r.tau_l
+            assert r.tau_e == r.indifference_set[0] and r.tau_l == r.indifference_set[-1]
             assert 0.0 <= r.tau_e <= r.tau_l <= 1.0
             assert r.tau_e in r.indifference_set and r.tau_l in r.indifference_set
 
@@ -180,14 +181,13 @@ class TestTimingSolver:
     def test_schedule_must_cover_horizon(self, params, grid):
         short = RateSchedule(np.array([0.0, 0.5]), np.array([1.0, 1.0]))
         with pytest.raises(ScheduleDomainError):
-            st.latest_time(params, short, grid)
+            st.earliest_time(params, short, grid)
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize("solve", [
         st.earliest_time,
-        st.latest_time,
         lambda p, sched, grid, tol: st.value_flexible(p, 0.0, 0.0, 0.0, sched, grid, tol),
-    ], ids=["earliest_time", "latest_time", "value_flexible"])
+    ], ids=["earliest_time", "value_flexible"])
     def test_unusable_tol_rejected(self, params, grid, schedules, solve, tol):
         with pytest.raises(DomainError, match="tol must be finite and >= 0"):
             solve(params, schedules["constant"], grid, tol)
@@ -280,7 +280,7 @@ class TestPrepurchaseValue:
 class TestFlexibleValue:
     def test_boundary_equals_prepurchase_exactly(self, params, grid, schedules):
         for sched in schedules.values():
-            tau_l = st.latest_time(params, sched, grid)
+            tau_l = st.earliest_time(params, sched, grid).tau_l
             vf = float(st.value_flexible(params, tau_l, 0.1, 0.05, sched, grid))
             vh = float(st.value_prepurchase(params, tau_l, 0.1, 0.05, sched))
             assert vf == vh
@@ -303,7 +303,7 @@ class TestFlexibleValue:
 
     def test_obstacle_property(self, params, grid, schedules):
         for sched in schedules.values():
-            tau_l = st.latest_time(params, sched, grid)
+            tau_l = st.earliest_time(params, sched, grid).tau_l
             ts = np.linspace(0.0, tau_l, 101)
             for y_hat in (-0.2, 0.0, 0.2):
                 vf = np.asarray(st.value_flexible(params, ts, 0.0, y_hat, sched, grid))
@@ -319,10 +319,29 @@ class TestFlexibleValue:
 class TestCommittedValue:
     def test_latest_time_is_the_flexible_value(self, params, grid, schedules):
         for sched in schedules.values():
-            tau_l = st.latest_time(params, sched, grid)
+            tau_l = st.earliest_time(params, sched, grid).tau_l
             vc = st.value_committed(params, tau_l, sched, grid)
             vf = float(st.value_flexible(params, 0.0, params.x0, params.y0, sched, grid))
             assert vc == pytest.approx(vf, rel=1e-12)
+
+    @pytest.mark.parametrize("t_star", [1.0, 0.9])
+    def test_finite_past_the_exp_range_of_the_profile(self, t_star):
+        # the value of buying at 0 underflows to -0.0 and exp(-gamma F(1))
+        # overflows, but their product is in range at x0 = -7400
+        p = make_params(sigma_y=3.0, sigma_z=1e-3, x0=-7400.0)
+        grid = make_grid(1.0, 10)
+        sched = RateSchedule.constant(0.0, 1.0)
+        f_star = st.profile(p, sched, grid)[grid.index_of(t_star)]
+        assert st.value_prepurchase(p, 0.0, p.x0, p.y0, sched) == 0.0
+        with mpmath.workdps(50):
+            a_t = mpmath.mpf(p.sigma_y) / mpmath.mpf(p.sigma_z) * mpmath.mpf(p.t_end)
+            pre0 = (-mpmath.mpf(p.gamma) * mpmath.mpf(p.x0)
+                    - mpmath.tanh(a_t) * mpmath.mpf(p.mu + p.y0) ** 2
+                    / (2 * mpmath.mpf(p.sigma_y) * mpmath.mpf(p.sigma_z))
+                    - mpmath.log(mpmath.cosh(a_t)) / 2)
+            want = float(-mpmath.exp(pre0 - mpmath.mpf(p.gamma) * mpmath.mpf(f_star)))
+        got = st.value_committed(p, t_star, sched, grid)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_no_purchase_time_beats_the_flexible_value(self, params, grid, schedules):
         for sched in schedules.values():
