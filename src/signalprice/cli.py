@@ -9,11 +9,15 @@ Every command is a pure function of (config file, flags, schedule file):
 all randomness flows from the config seed, floats serialize with 17
 significant digits, and identical inputs give byte-identical outputs.
 Exit codes: 0 success, 1 failed verification checks, 2 bad config/schedule/IO.
+``main`` may be called repeatedly in one process; its parser is built on the
+first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import math
 import os
 import sys
@@ -40,8 +44,12 @@ from .subscription_timing import RateSchedule
 def _to_json(obj) -> str:
     """JSON text with floats at 17 significant digits, stable key order.
 
-    JSON has no inf or nan, so non-finite floats are written as null.
+    A float always carries a ``.`` or an exponent, so it reads back as a
+    float; JSON has no inf or nan, so non-finite floats are written as null.
     """
+    if type(obj) is float or isinstance(obj, np.floating):  # most elements are floats
+        text = format(float(obj), ".17g") if math.isfinite(obj) else "null"
+        return text + ".0" if text.lstrip("-").isdigit() else text  # -0 -> -0.0
     if isinstance(obj, dict):
         items = ", ".join(f'"{k}": {_to_json(v)}' for k, v in obj.items())
         return "{" + items + "}"
@@ -51,10 +59,8 @@ def _to_json(obj) -> str:
         return {True: "true", False: "false", None: "null"}[obj]
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(obj, ensure_ascii=False)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -235,6 +241,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="signalprice",

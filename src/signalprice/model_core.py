@@ -228,14 +228,20 @@ def load_config(path: str) -> tuple[ModelParams, TimeGrid, McSettings]:
 
 def write_csv(path, header: str, columns) -> None:
     """CSV of ``columns`` under a ``header`` line, numbers at 17 significant
-    digits (they round-trip); shorter columns end in empty cells."""
-    # formatting Python floats column by column is faster than numpy scalars
-    # cell by cell, and gives the same text
-    cells = [[format(v, ".17g") for v in np.asarray(col).tolist()] for col in columns]
+    digits (they round-trip); shorter columns end in empty cells.
+
+    Each row where every column has a value is one ``%`` of the row template
+    ``"%.17g,...,%.17g\\n"``; only the rows past the shortest column are
+    formatted cell by cell."""
+    # Python floats format faster than numpy scalars, and give the same text
+    cols = [np.asarray(col).tolist() for col in columns]
+    full = min(map(len, cols))
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    tail = [[format(v, ".17g") for v in col[full:]] for col in cols]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in itertools.zip_longest(*cells, fillvalue=""):
-            fh.write(",".join(row) + "\n")
+        fh.write(header + "\n" + "".join([row % values for values in zip(*cols)]))
+        for cells in itertools.zip_longest(*tail, fillvalue=""):
+            fh.write(",".join(cells) + "\n")
 
 
 __all__ = [

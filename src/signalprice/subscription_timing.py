@@ -106,7 +106,7 @@ class RateSchedule:
     @classmethod
     def from_csv(cls, path) -> "RateSchedule":
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln for ln in map(str.strip, fh) if ln]
         if not lines or lines[0].replace(" ", "") != "t,c":
             raise ScheduleDomainError("schedule CSV must start with header 't,c'")
         knots, values = [], []

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import signalprice
 from signalprice import closed_form as cf
 from signalprice import path_sim
 from signalprice import subscription_timing as st
-from signalprice.cli import _to_json, main
+from signalprice.cli import _build_parser, _to_json, main
 
 CONFIG = """\
 [model]
@@ -100,6 +101,47 @@ def test_verify_does_not_import_mpmath(config_file):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def _files(directory):
+    if not directory.is_dir():
+        return {}
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_repeated_calls_in_one_process_match_fresh_interpreters(capsys, config_file,
+                                                                tmp_path, params, grid):
+    # main builds its parser on the first call and reuses it; exits and errors
+    # on earlier calls must leave nothing behind that changes a later output
+    parser = _build_parser()
+    with pytest.raises(SystemExit) as help_exit:
+        main(["--help"])
+    assert help_exit.value.code == 0
+    with pytest.raises(SystemExit) as flag_exit:
+        main(["price", "--config", config_file, "--no-such-flag"])
+    assert flag_exit.value.code == 2
+    bad = tmp_path / "bad.ini"
+    bad.write_text(CONFIG.replace("gamma = 0.1", "gamma = -0.1"))
+    assert main(["price", "--config", str(bad), "--mode", "single"]) == 2
+    capsys.readouterr()
+
+    sched = tmp_path / "bump.csv"
+    st.bumped_schedule(params, grid, 0.2, 0.8, 2.0, 2.0).to_csv(sched)
+    for argv in (["price"], ["rates", "--points", "11"],
+                 ["subscribe", "--schedule", str(sched)], ["verify", "--suite", "fast"]):
+        out_dir = tmp_path / argv[0]
+        argv = [*argv, "--config", config_file, "--out", str(out_dir)]
+        fresh = _python(f"import sys\nfrom signalprice.cli import main\n"
+                        f"sys.exit(main({argv!r}))\n")
+        assert fresh.returncode == 0, fresh.stderr
+        fresh_files = _files(out_dir)
+        assert bool(fresh_files) == (argv[0] == "rates")
+        shutil.rmtree(out_dir, ignore_errors=True)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == fresh.stdout
+        assert _files(out_dir) == fresh_files
+    assert _build_parser() is parser
+
+
 class TestPrice:
     def test_continuous(self, capsys, config_file):
         code, out = run_cli(capsys, "price", "--config", config_file, "--mode", "continuous")
@@ -172,6 +214,15 @@ class TestRates:
         assert got["tau_e"] == 0.0 and got["tau_l"] == 1.0
         assert len(got["indifference_set"]) == grid.n_steps + 1
         assert got["grid_dt"] == grid.dt
+
+    @pytest.mark.parametrize("name", ["out\tdir", "out\ndir"])
+    def test_control_characters_in_out_stay_json(self, capsys, config_file, tmp_path, name):
+        out_dir = tmp_path / name
+        code, out = run_cli(capsys, "rates", "--config", config_file, "--points", "3",
+                            "--out", str(out_dir))
+        assert code == 0
+        assert json.loads(out) == {"rates_csv": str(out_dir / "rates.csv"),
+                                   "schedule_csv": str(out_dir / "c_hat_schedule.csv")}
 
     @pytest.mark.parametrize("points", ["-1", "0", "1"])
     def test_fewer_than_two_points_exits_2(self, capsys, config_file, tmp_path, points):
@@ -300,7 +351,7 @@ class TestSimulate:
                             "--t-star", t_star, "--paths", "10", "--steps", "10",
                             "--out", str(tmp_path / "sim"))
         assert code == 0
-        return json.loads(out, parse_int=float)["closed_form"]  # -0.0 prints as -0
+        return json.loads(out)["closed_form"]
 
     def test_subscribe_mode_past_the_exp_range(self, capsys, tmp_path):
         # -gamma F(t*) at t* = 1 is past ~709.78, but the exponent
@@ -396,22 +447,24 @@ class TestVerify:
         assert err.endswith(f", got {paths}\n")
 
     def test_all_suite_output_is_pinned(self, capsys, config_file):
-        # the determinism contract: the digest of the whole output was taken
-        # when the one-shot oracle moved to Newton steps, which changed only the
-        # two single_period_* reports; the digest of the rest dates from when
-        # the value checks and the price check still ran separate Monte-Carlo runs
+        # the determinism contract: both digests were taken when whole-number
+        # floats gained a ".0" ("expected": 0 became 0.0), which changed no other
+        # token. Before that, the digest of the whole output dated from the move
+        # of the one-shot oracle to Newton steps, which changed only the two
+        # single_period_* reports; the digest of the rest dated from when the
+        # value checks and the price check still ran separate Monte-Carlo runs
         code, out = run_cli(capsys, "verify", "--config", config_file, "--suite", "all",
                             "--paths", "1000", "--steps", "50", "--seed", "3")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "61e771578d04a186b06dac39dc1b253b15f5251fb05b833be1b8dee08292db9d"
+            "7af3f88a15a5acc1621f37f2844b6940c3aa831f7e8591f4d6c11aa76c22162d"
         )
         reports = json.loads(out)
         assert _to_json(reports) + "\n" == out
         rest = [r for r in reports if not r["name"].startswith("single_period_")]
         assert len(rest) == len(reports) - 2
         assert hashlib.sha256((_to_json(rest) + "\n").encode()).hexdigest() == (
-            "b0f0d3bed903616e14af6baef204dd543332e469e93835894d52214ef6a5ec7e"
+            "2ce6bd6b5ceaccb39d7b4d5708e404ab53e1e82c54436cc00910784a63dacf96"
         )
 
     def test_all_suite_makes_one_engine_call(self, capsys, config_file, monkeypatch):
