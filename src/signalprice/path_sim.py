@@ -4,8 +4,8 @@ Euler-Maruyama on a uniform grid with left-point strategy evaluation (no
 lookahead):
 
     Y[k+1] = Y[k] + sigma_y * dB^Y_k
-    S[k+1] = S[k] + (mu + Y[k]) dt + sigma_z * dB^Z_k
-    X[k+1] = X[k] + phi_k (mu + Y[k]) dt + sigma_z phi_k dB^Z_k - charges
+    S[k+1] = S[k] + dS_k,   dS_k = (mu + Y[k]) dt + sigma_z * dB^Z_k
+    X[k+1] = X[k] + phi_k dS_k - charges,   dS_k formed once per step
 
 Randomness is counter-based: path ``i`` of a run with seed ``s`` (an integer
 in [0, 2**64)) draws from a Philox stream keyed by (s, i), so every path is a
@@ -14,18 +14,20 @@ Antithetic mode derives paths 2j and 2j+1 from the same keyed draw with
 opposite signs.
 
 A chunk's draws are held path-major (keys, 2, n), as the keyed streams
-produce them, in one buffer that every chunk of a run reuses.  One step
-loop (``_integrate``, with ``_Wealth`` for the arms) advances signal, price,
-filtered signal and every arm's wealth a step at a time on (m,) rows,
-updated in place.  It reads the increments in blocks of a few dozen steps,
-scaled and transposed into one reused time-major buffer, so a chunk holds
-its draws plus one block and no (n+1, m) path matrix.  The one-path API
-runs the same step code on floats: ``simulate_paths`` is the case without
-arms, filter included, and ``run_strategy`` steps one arm's wealth along a
-bundle's stored signal and filtered signal, so the engine and the API agree
-bit for bit.  ``_Wealth`` is the one place that resolves arms (purchase
-index, charges, whether the filter is needed) for both.  Every arm holds
-one of the two closed-form position rules at each step: the true-signal
+produce them, in one buffer that every chunk of a run reuses.  The engine
+steps columns [+ keys 0 .. K-1 | - keys 0 .. M-1] (``_step_columns``), so
+the mirrors are one contiguous negation: ``mc_multi`` takes M = 0 or M = K
+(antithetic, interleaved into path order).  One step loop (``_integrate``,
+with ``_Wealth`` for the arms) advances signal, price, filtered signal and
+every arm's wealth a step at a time on (m,) rows, updated in place.  It reads
+the increments in blocks of a few dozen steps, scaled and transposed into one
+reused time-major buffer, so a chunk holds its draws plus one block and no
+(n+1, m) path matrix.  The one-path API runs the same step code on floats:
+``simulate_paths`` is the case without arms, filter included, and
+``run_strategy`` steps one arm's wealth along a bundle, so the engine and the
+API agree bit for bit.  ``_Wealth`` is the one place that resolves arms
+(purchase index, charges, whether the filter is needed) for both.  Every arm
+holds one of the two closed-form position rules at each step: the true-signal
 rule once subscribed, the filtered-signal rule before.
 ``mc_multi`` evaluates several (mode, charge) arms on one shared set of
 paths: common random numbers for indifference comparisons.
@@ -106,26 +108,26 @@ _KEYS = 256
 MAX_PATHS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
-def _increment_rows(z: np.ndarray, dt: float, antithetic: bool) -> Iterator[tuple]:
+def _increment_rows(z: np.ndarray, dt: float, n_mirrors: int) -> Iterator[tuple]:
     """(dB^Y_k, dB^Z_k) for k = 0 .. n-1, each an (m,) row with variance dt.
 
     ``z`` holds path-major draws (keys, 2, n).  Each block of ``_BLOCK`` steps
     is scaled and transposed into one reused C-contiguous (2, _BLOCK, m)
     buffer, so a chunk holds its draws plus one block, and every row is
-    contiguous.  Antithetic blocks go to the even columns and their negation
-    to the odd ones.  A yielded row is overwritten by the next block.
+    contiguous.  The columns are [+ keys | - first ``n_mirrors`` keys], so
+    m = keys + n_mirrors.  A yielded row is overwritten by the next block.
     """
     keys, _, n = z.shape
     sqdt = math.sqrt(dt)
-    block = np.empty((2, _BLOCK, 2 * keys if antithetic else keys))
-    drawn = block[:, :, 0::2] if antithetic else block
+    block = np.empty((2, _BLOCK, keys + n_mirrors))
+    drawn = block[:, :, :keys]
     for k0 in range(0, n, _BLOCK):
         b = min(_BLOCK, n - k0)
         for j in range(0, keys, _KEYS):
             tile = z[j : j + _KEYS, :, k0 : k0 + b].transpose(1, 2, 0)
             np.multiply(tile, sqdt, out=drawn[:, :b, j : j + _KEYS])
-        if antithetic:
-            np.negative(drawn[:, :b], out=block[:, :b, 1::2])
+        if n_mirrors:
+            np.negative(drawn[:, :b, :n_mirrors], out=block[:, :b, keys:])
         for j in range(b):
             yield block[0, j], block[1, j]
 
@@ -145,7 +147,6 @@ class _Wealth:
     def __init__(self, p: ModelParams, grid: TimeGrid, arms: list[Arm]):
         tk = grid.t[:-1]
         self.x0 = p.x0
-        self.mu, self.sigma_z = p.mu, p.sigma_z
         self.dt = grid.dt
         self.gs = p.gamma * p.sigma_z**2
         a = noise_ratio(p)
@@ -166,27 +167,21 @@ class _Wealth:
         fresh = lambda: float(self.x0) if m is None else np.full(m, self.x0)
         self.x = [fresh() - lump if k_star == 0 else fresh() for k_star, lump, _ in self.arms]
 
-    def step(self, k: int, y, my, y_hat, bz) -> None:
-        """Step k: positions from information at t_k (``my`` is mu + y), the
-        trading gain phi (mu + y) dt + sigma_z phi dB^Z over [t_k, t_k+1),
-        then schedule and lump charges."""
+    def step(self, k: int, my, mh, ds) -> None:
+        """Step k: positions from information at t_k (``my`` is mu + y and
+        ``mh`` mu + y_hat), the trading gain phi dS over [t_k, t_k+1), then
+        schedule and lump charges."""
         dt, x = self.dt, self.x
-        rules = [None, None]  # gains of the filtered-signal and the true-signal rule
+        gains = [None, None]  # of the filtered-signal and the true-signal rule
         for i, (k_star, lump, rates) in enumerate(self.arms):
             informed = k >= k_star
-            rule = rules[informed]
-            if rule is None:
-                phi = my / self.gs if informed else (self.mu + y_hat) * self.ufac[k]
-                # (phi my) dt and (sigma_z phi) dB^Z, rounded as the sum rounds them
-                drift = phi * my
-                drift *= dt
-                noise = self.sigma_z * phi
-                noise *= bz
-                rule = rules[informed] = drift, noise
-            drift, noise = rule
+            gain = gains[informed]
+            if gain is None:
+                gain = my / self.gs if informed else mh * self.ufac[k]
+                gain *= ds
+                gains[informed] = gain
             x_i = x[i]
-            x_i += drift
-            x_i += noise
+            x_i += gain
             if rates is not None and informed:
                 x_i -= rates[k] * dt
             if k + 1 == k_star:
@@ -194,38 +189,41 @@ class _Wealth:
             x[i] = x_i
 
 
-def _integrate(p: ModelParams, grid: TimeGrid, rows, y, s, y_hat=None, wealth=None):
+def _integrate(p: ModelParams, grid: TimeGrid, rows, y, s, y_hat=None, gains=None,
+               wealth=None):
     """Yield (y, s, y_hat) at grid indices 0 .. n, one Euler step per increment row.
 
     The state is floats (one path) or (m,) arrays, which are updated in place:
     a consumer copies what it keeps before asking for the next step.
-    ``y_hat`` None skips the filter; ``wealth`` advances with the same rows.
-    The filter step is ``signal_filter.filter_path``'s recursion evaluated in
-    the same order, so the two agree bit for bit.
+    ``y_hat`` None skips the filter, else ``gains`` holds the filter gain of
+    each step; ``wealth`` advances with the same rows.  The filter step is
+    ``signal_filter.filter_path``'s recursion evaluated in the same order, so
+    the two agree bit for bit.
     """
     mu, sigma_y, sigma_z = p.mu, p.sigma_y, p.sigma_z
     dt = grid.dt
-    if y_hat is not None:
-        gains = signal_filter.filter_gain(p, grid.t[:-1]).tolist()
+    mh = None
     yield y, s, y_hat
     for k, (by, bz) in enumerate(rows):
+        # s_next = (my dt + s) + sigma_z bz and, from its two products, dS; the
+        # operands of every rounding stay the same (IEEE sums and products
+        # commute), so the bits do.
         my = mu + y
-        if wealth is not None:
-            wealth.step(k, y, my, y_hat, bz)
-        # s + my dt + sigma_z bz and y_hat + g_k (s_next - s - (mu + y_hat) dt) / sigma_z,
-        # with each operation in place where possible.  The operands of every
-        # rounding stay the same (IEEE sums and products commute), so the bits do.
-        s_next = my * dt
-        s_next += s
-        s_next += sigma_z * bz
+        ds = my * dt
+        noise = sigma_z * bz
+        s_next = ds + s
+        s_next += noise
         if y_hat is not None:
+            # y_hat + g_k (s_next - s - mh dt) / sigma_z
+            mh = mu + y_hat
             innovation = s_next - s
-            drift = mu + y_hat
-            drift *= dt
-            innovation -= drift
+            innovation -= mh * dt
             innovation /= sigma_z
             innovation *= gains[k]
             y_hat += innovation
+        if wealth is not None:
+            ds += noise
+            wealth.step(k, my, mh, ds)
         y += sigma_y * by
         s = s_next
         yield y, s, y_hat
@@ -258,7 +256,8 @@ def simulate_paths(
     """Yield ``n_paths`` independent scenarios, one per (seed, index) substream."""
     drawer = _SubstreamDrawer(seed)
     sqdt = math.sqrt(grid.dt)
-    start = float(p.y0), float(p.s0), float(p.y0)
+    gains = signal_filter.filter_gain(p, grid.t[:-1]).tolist()
+    start = float(p.y0), float(p.s0), float(p.y0), gains
     for index in range(n_paths):
         by, bz = sqdt * drawer.normals(index, np.empty((2, grid.n_steps)))
         rows = zip(by.tolist(), bz.tolist())
@@ -310,11 +309,13 @@ def run_strategy(
     """
     wealth = _Wealth(p, grid, [Arm(mode, charge)])
     wealth.start(None)
-    step, x, mu = wealth.step, wealth.x, p.mu
+    step, x = wealth.step, wealth.x
+    mu, sigma_z, dt = p.mu, p.sigma_z, grid.dt
     path = [x[0]]
     rows = zip(bundle.y.tolist(), bundle.y_hat.tolist(), bundle.bz_incr.tolist())
     for k, (y, y_hat, bz) in enumerate(rows):
-        step(k, y, mu + y, y_hat, bz)
+        my = mu + y
+        step(k, my, mu + y_hat, my * dt + sigma_z * bz)
         path.append(x[0])
     return np.array(path)
 
@@ -416,53 +417,75 @@ def mc_multi(
     computed) filtered signal for martingale-style checks.
     """
     check_path_count(n_paths, antithetic)
+    keys = n_paths // 2 if antithetic else n_paths
+    columns = _step_columns(p, grid, seed, arms, keys, keys if antithetic else 0,
+                            snapshot_times, chunk_size)
+    # path 2j is column j (key j), path 2j + 1 column keys + j (its mirror)
+    order = (lambda a: _interleave(a[:keys], a[keys:])) if antithetic else (lambda a: a)
+    return [
+        McRun(order(exponents), antithetic,
+              {k: {name: None if a is None else order(a) for name, a in snap.items()}
+               for k, snap in snapshots.items()})
+        for exponents, snapshots in columns
+    ]
+
+
+def _interleave(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Antithetic path order: plus[j] at 2j and minus[j] at 2j + 1."""
+    out = np.empty(2 * plus.shape[0])
+    out[0::2], out[1::2] = plus, minus
+    return out
+
+
+def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_keys: int,
+                  n_mirrors: int, snapshot_times=(), chunk_size: int = 8192) -> list[tuple]:
+    """(exponents -gamma X_T, snapshots) per arm, on n_keys + n_mirrors columns.
+
+    Column j < n_keys is keyed draw j with a + sign, and column n_keys + j its
+    mirror image, for j < n_mirrors <= n_keys; snapshots as in ``McRun``.  A
+    chunk takes whole keys, with their mirrors, up to ``chunk_size`` columns
+    (rounded up to even when there are mirrors).
+    """
+    if chunk_size < 1:
+        raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     wealth = _Wealth(p, grid, arms)
     needs_filter = wealth.needs_filter
+    gains = signal_filter.filter_gain(p, grid.t[:-1]).tolist() if needs_filter else None
     snap_idx = tuple(sorted({grid.index_of(s) for s in snapshot_times}))
-
-    runs = [
-        McRun(
-            exponents=np.empty(n_paths, dtype=float),
-            antithetic=antithetic,
-            snapshots={
-                k: {
-                    "x": np.empty(n_paths),
-                    "y": np.empty(n_paths),
-                    "y_hat": np.empty(n_paths) if needs_filter else None,
-                }
-                for k in snap_idx
-            },
-        )
-        for _ in arms
-    ]
-    if antithetic:
-        chunk_size += chunk_size % 2
-
+    new = lambda: np.empty(n_keys + n_mirrors)
+    columns = [(new(), {k: {"x": new(), "y": new(), "y_hat": new() if needs_filter else None}
+                        for k in snap_idx}) for _ in arms]
+    chunk_size += chunk_size % 2 if n_mirrors else 0
     drawer = _SubstreamDrawer(seed)
-    per_key = 2 if antithetic else 1
-    # one draw buffer for every chunk; the last chunk may use part of it
-    draws = np.empty((min(chunk_size, n_paths) // per_key, 2, grid.n_steps))
-    for start in range(0, n_paths, chunk_size):
-        m = min(chunk_size, n_paths - start)
-        z = drawer.fill(start // per_key, draws[: m // per_key])
+    draws = np.empty((min(chunk_size, n_keys), 2, grid.n_steps))  # one buffer, every chunk
+    first = 0
+    while first < n_keys:
+        mirrored = min(max(n_mirrors - first, 0), chunk_size // 2)
+        keys = mirrored
+        if first + mirrored >= n_mirrors:  # room left for keys without mirrors
+            keys += min(n_keys - first - mirrored, chunk_size - 2 * mirrored)
+        z = drawer.fill(first, draws[:keys])
+        m = keys + mirrored
         wealth.start(m)
         steps = _integrate(
-            p, grid, _increment_rows(z, grid.dt, antithetic),
-            np.full(m, p.y0), np.full(m, p.s0),
-            np.full(m, p.y0) if needs_filter else None, wealth,
+            p, grid, _increment_rows(z, grid.dt, mirrored), np.full(m, p.y0), np.full(m, p.s0),
+            np.full(m, p.y0) if needs_filter else None, gains, wealth,
         )
-        paths = slice(start, start + m)
+        plus, minus = slice(first, first + keys), slice(n_keys + first, n_keys + first + mirrored)
+
+        def put(out, row):
+            out[plus], out[minus] = row[:keys], row[keys:]
+
         for k, (y, _, y_hat) in enumerate(steps):
             if k in snap_idx:
-                for run, x in zip(runs, wealth.x):
-                    snap = run.snapshots[k]
-                    snap["x"][paths] = x
-                    snap["y"][paths] = y
-                    if needs_filter:
-                        snap["y_hat"][paths] = y_hat
-        for run, x_T in zip(runs, wealth.x):
-            run.exponents[paths] = -p.gamma * x_T
-    return runs
+                for (_, snapshots), x in zip(columns, wealth.x):
+                    for name, row in (("x", x), ("y", y), ("y_hat", y_hat)):
+                        if row is not None:
+                            put(snapshots[k][name], row)
+        for (exponents, _), x_T in zip(columns, wealth.x):
+            put(exponents, -p.gamma * x_T)
+        first += keys
+    return columns
 
 
 def write_path_csv(path, t, y, y_hat, s, wealth_columns: dict[str, np.ndarray]) -> None:

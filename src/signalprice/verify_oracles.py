@@ -306,24 +306,30 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
 
     The value reports are those of a plain run of n_paths and the price report
     is that of ``indifference_log_ratio(p, grid, n_paths, seed)``, bit for bit,
-    but every scenario is drawn and stepped once.  One antithetic run of
-    2 n_paths serves both: its path 2j is keyed draw j with a + sign, which
-    every engine step treats elementwise, so its even paths are the plain run
-    of n_paths, and its first n_paths paths are the antithetic run of n_paths.
-    The mirrors of the later keys are dropped.
+    from one engine call that steps exactly the paths they read: keyed draws
+    0 .. n_paths-1 with a + sign, which every engine step treats elementwise,
+    are the plain run, and the first n_paths/2 of them with their mirror
+    images, interleaved, are the antithetic run.
     """
     for antithetic in (False, True):  # the two runs the shared one stands for
         path_sim.check_path_count(n_paths, antithetic)
+    # keeps the n_paths + n_paths/2 columns of the engine call within one array
     if 2 * n_paths > path_sim.MAX_PATHS:
         raise DomainError(
-            f"n_paths must be at most {path_sim.MAX_PATHS // 2}, as the checks run "
-            f"2 n_paths paths, got {n_paths}"
+            f"n_paths must be at most {path_sim.MAX_PATHS // 2} in the "
+            f"Monte-Carlo checks, got {n_paths}"
         )
     check_times = tuple(f * grid.t_end for f in _MARTINGALE_FRACTIONS)
-    uninformed, informed = path_sim.mc_multi(
-        p, grid, 2 * n_paths, seed,
-        [path_sim.Arm(UNINFORMED), path_sim.Arm(INFORMED_FROM_START)],
-        antithetic=True, snapshot_times=check_times,
+    columns = path_sim._step_columns(
+        p, grid, seed, [path_sim.Arm(UNINFORMED), path_sim.Arm(INFORMED_FROM_START)],
+        n_paths, n_paths // 2, check_times,
+    )
+    plus = lambda a: a[:n_paths]  # keyed draws 0 .. n_paths-1 with a + sign
+    uninformed, informed = (
+        path_sim.McRun(plus(exponents), False, {
+            k: {name: plus(a) for name, a in snap.items()} for k, snap in snapshots.items()
+        })
+        for exponents, snapshots in columns
     )
     # (label, run, snapshot signal the position uses, value function V(t, x, signal))
     modes = (
@@ -333,8 +339,7 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
          lambda t, x, y: closed_form.value_informed(p, t, x, y, 0.0)),
     )
     reports = []
-    for label, run, signal, value in modes:
-        plain = _even_paths(run)
+    for label, plain, signal, value in modes:
         closed0 = float(value(0.0, p.x0, p.y0))
         est = plain.estimate()
         detail = (
@@ -357,8 +362,9 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
         )
         reports.append(_report(f"mc_martingale_{label}", worst, 0.0, 3.0, detail))
 
-    first = slice(0, n_paths)
-    c_mc, half = _log_ratio(p, informed.exponents[first], uninformed.exponents[first])
+    pairs = lambda e: path_sim._interleave(e[: n_paths // 2], e[n_paths:])
+    (e_uninformed, _), (e_informed, _) = columns
+    c_mc, half = _log_ratio(p, pairs(e_informed), pairs(e_uninformed))
     reports.append(_report(
         "mc_indifference_price",
         c_mc,
@@ -369,16 +375,6 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
         "tolerance = 3 std errs",
     ))
     return reports
-
-
-def _even_paths(run: path_sim.McRun) -> path_sim.McRun:
-    """The plain run inside an antithetic one, copied into contiguous arrays
-    so that numpy takes the code paths it takes for a plain run's arrays."""
-    even = lambda a: None if a is None else np.ascontiguousarray(a[0::2])
-    snapshots = {
-        k: {name: even(a) for name, a in snap.items()} for k, snap in run.snapshots.items()
-    }
-    return path_sim.McRun(even(run.exponents), False, snapshots)
 
 
 # --- price-filtration kernel identity ---

@@ -42,7 +42,7 @@ def batch_paths(p, grid, n_paths, seed):
     """Time-major (n+1, m) signal and price ensembles from per-path substreams,
     through the engine's step loop."""
     z = _path_sim._SubstreamDrawer(seed).fill(0, np.empty((n_paths, 2, grid.n_steps)))
-    rows = _path_sim._increment_rows(z, grid.dt, antithetic=False)
+    rows = _path_sim._increment_rows(z, grid.dt, 0)
     y = np.empty((grid.n_steps + 1, n_paths))
     s = np.empty_like(y)
     start = (np.full(n_paths, p.y0), np.full(n_paths, p.s0))

@@ -447,38 +447,47 @@ class TestVerify:
         assert err.endswith(f", got {paths}\n")
 
     def test_all_suite_output_is_pinned(self, capsys, config_file):
-        # the determinism contract: both digests were taken when whole-number
-        # floats gained a ".0" ("expected": 0 became 0.0), which changed no other
-        # token. Before that, the digest of the whole output dated from the move
-        # of the one-shot oracle to Newton steps, which changed only the two
-        # single_period_* reports; the digest of the rest dated from when the
-        # value checks and the price check still ran separate Monte-Carlo runs
+        # the determinism contract: the whole-output digest and the digest of
+        # all but the single_period_* reports were taken when each step came to
+        # pay every arm phi dS from one price increment, which moved Monte-Carlo
+        # wealth at the rounding level (relative changes of observed and
+        # tolerance at most 1.3e-15). Before that, both dated from when
+        # whole-number floats gained a ".0". The digest of the seven
+        # deterministic reports (ode_*, single_period_*, kernel_identity) was
+        # taken before that engine change, which left them unchanged
         code, out = run_cli(capsys, "verify", "--config", config_file, "--suite", "all",
                             "--paths", "1000", "--steps", "50", "--seed", "3")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "7af3f88a15a5acc1621f37f2844b6940c3aa831f7e8591f4d6c11aa76c22162d"
+            "d2cc7a03b722208773839398ea4b94284eb69046660a92a400f167778bda437a"
         )
         reports = json.loads(out)
         assert _to_json(reports) + "\n" == out
+        digest = lambda rs: hashlib.sha256((_to_json(rs) + "\n").encode()).hexdigest()
         rest = [r for r in reports if not r["name"].startswith("single_period_")]
         assert len(rest) == len(reports) - 2
-        assert hashlib.sha256((_to_json(rest) + "\n").encode()).hexdigest() == (
-            "2ce6bd6b5ceaccb39d7b4d5708e404ab53e1e82c54436cc00910784a63dacf96"
+        assert digest(rest) == (
+            "3276715ac89720d54c30e3c50ea7a5cf802e3719834f3a423939b81f2b1a2d25"
+        )
+        deterministic = [r for r in reports if not r["name"].startswith("mc_")]
+        assert len(deterministic) == 7
+        assert digest(deterministic) == (
+            "df61c7b73a786e30668f94739eadcbcc1168711a10c4bb73b3a6290446f9adc3"
         )
 
     def test_all_suite_makes_one_engine_call(self, capsys, config_file, monkeypatch):
-        engine, calls = path_sim.mc_multi, []
+        # n keys, of which the first n/2 are also stepped mirrored: 1.5 n paths
+        engine, calls = path_sim._step_columns, []
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return engine(*args, **kwargs)
+        def counted(p, grid, seed, arms, n_keys, n_mirrors, *args, **kwargs):
+            calls.append((n_keys, n_mirrors))
+            return engine(p, grid, seed, arms, n_keys, n_mirrors, *args, **kwargs)
 
-        monkeypatch.setattr(path_sim, "mc_multi", counted)
+        monkeypatch.setattr(path_sim, "_step_columns", counted)
         code, _ = run_cli(capsys, "verify", "--config", config_file, "--suite", "all",
                           "--paths", "1000", "--steps", "50")
         assert code == 0
-        assert calls == [2000]
+        assert calls == [(1000, 500)]
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--antithetic", "--dump-paths", "0"],

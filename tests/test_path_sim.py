@@ -173,6 +173,40 @@ class TestEngineConsistency:
                 for name, values in snap.items():
                     assert np.array_equal(values, b.snapshots[k][name][0::2]), (k, name)
 
+    # n/2 = 15 and 25 are odd; chunks of 3 and 7 columns (rounded up to 4 and 8)
+    # split inside the mirror block and where it ends
+    @pytest.mark.parametrize("n_paths", [30, 50])
+    @pytest.mark.parametrize("chunk_size", [3, 7, 8, 8192])
+    def test_mirrored_prefix_is_the_plain_and_the_antithetic_run(
+            self, params, coarse_grid, monkeypatch, n_paths, chunk_size):
+        arms = [ps.Arm(UNINFORMED), ps.Arm(INFORMED_FROM_START),
+                ps.Arm(subscribe_at(0.5), charge=0.3)]
+        times = (0.0, 0.5, 1.0)
+        plain = ps.mc_multi(params, coarse_grid, n_paths, 9, arms, snapshot_times=times)
+        anti = ps.mc_multi(params, coarse_grid, n_paths, 9, arms, antithetic=True,
+                           snapshot_times=times)
+        integrate, stepped = ps._integrate, []
+
+        def counted(p, grid, rows, y, *args):
+            stepped.append(y.shape[0])
+            return integrate(p, grid, rows, y, *args)
+
+        monkeypatch.setattr(ps, "_integrate", counted)
+        half = n_paths // 2
+        columns = ps._step_columns(params, coarse_grid, 9, arms, n_paths, half, times,
+                                   chunk_size)
+        assert sum(stepped) == n_paths + half
+        assert max(stepped) <= chunk_size + 1
+        pick = (lambda a: a[:n_paths], lambda a: ps._interleave(a[:half], a[n_paths:]))
+        for (exponents, snapshots), *runs in zip(columns, plain, anti):
+            assert exponents.shape == (n_paths + half,)
+            for run, part in zip(runs, pick):
+                assert part(exponents).tobytes() == run.exponents.tobytes()
+                assert snapshots.keys() == run.snapshots.keys()
+                for k, snap in run.snapshots.items():
+                    for name, values in snap.items():
+                        assert part(snapshots[k][name]).tobytes() == values.tobytes(), (k, name)
+
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_two_arm_call_equals_one_arm_calls(self, params, coarse_grid, antithetic):
         # arms share paths without touching each other's state
@@ -194,6 +228,11 @@ class TestEngineConsistency:
         arm = ps.Arm(INFORMED_FROM_START, charge=charge)
         with pytest.raises(DomainError, match="charge must be finite"):
             ps.mc_multi(params, coarse_grid, 10, 9, [arm])
+
+    @pytest.mark.parametrize("chunk_size", [0, -8])
+    def test_empty_chunks_rejected(self, params, coarse_grid, chunk_size):
+        with pytest.raises(DomainError, match="chunk_size must be >= 1"):
+            ps.mc_multi(params, coarse_grid, 10, 9, [ps.Arm()], chunk_size=chunk_size)
 
     def test_antithetic_requires_even_paths(self, params, coarse_grid):
         with pytest.raises(DomainError, match="n_paths must be even"):

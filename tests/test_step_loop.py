@@ -4,8 +4,14 @@
 increments for a whole chunk, integrated signal and price into (n+1, m)
 matrices, filtered the whole price matrix, then integrated each arm's wealth
 over it.  Those stages are kept below verbatim (the draws use a fresh Philox
-generator per key instead of the re-keyed one) and every result of the step
-loop must equal theirs bit for bit.
+generator per key instead of the re-keyed one).  Increments, signal, price
+and filtered signal of the step loop must equal theirs bit for bit.
+
+The step loop now pays each arm phi_k dS_k from the price increment it forms
+once per step, where the frozen wealth stage adds phi_k (mu + Y_k) dt and
+sigma_z phi_k dB^Z_k, so wealth differs from it at the rounding level: it is
+held to ``_assert_rounding_close``, and to a staged phi dS recursion on the
+same matrices bit for bit.
 """
 
 import math
@@ -108,11 +114,58 @@ def _integrate_wealth(p, t, y, y_hat, bz, k_star, lump, sched_rates, policy=None
     return (path if keep_path else x), snapshots
 
 
-def _staged_mc_multi(p, grid, n_paths, seed, arms, antithetic, snapshot_times, chunk_size):
+# --- staged phi dS recursion: the wealth order of the step loop ---
+
+def _integrate_wealth_ds(p, t, y, y_hat, bz, k_star, lump, sched_rates,
+                         keep_path=True, snapshot_idx=(), phi_scale=1.0, price_noise=True):
+    """``_integrate_wealth`` with the gain phi_k dS_k, dS formed as one (n, m)
+    matrix.  ``phi_scale`` and ``price_noise`` exist to plant faults."""
+    n = t.shape[0] - 1
+    dt = t[1] - t[0]
+    gs = p.gamma * p.sigma_z**2
+    a = noise_ratio(p)
+    tk = t[:-1]
+    ufac = _cosh_cosh_over_cosh(a * (p.t_end - tk), a * tk) / gs
+    ds = (p.mu + y[:-1]) * dt
+    if price_noise:
+        ds = ds + p.sigma_z * bz
+
+    x = np.full(y.shape[1:], p.x0, dtype=float)
+    if k_star == 0:
+        x = x - lump
+    snapshots = {0: x.copy()} if 0 in snapshot_idx else {}
+    path = np.empty_like(y) if keep_path else None
+    if keep_path:
+        path[0] = x
+    for k in range(n):
+        informed = k_star is not None and k >= k_star
+        phi = (p.mu + y[k]) / gs if informed else (p.mu + y_hat[k]) * ufac[k]
+        x = x + (phi * phi_scale) * ds[k]
+        if sched_rates is not None and informed:
+            x = x - sched_rates[k] * dt
+        if k_star is not None and k + 1 == k_star:
+            x = x - lump
+        if keep_path:
+            path[k + 1] = x
+        if (k + 1) in snapshot_idx:
+            snapshots[k + 1] = x.copy()
+    return (path if keep_path else x), snapshots
+
+
+def _assert_rounding_close(got, want, n_steps):
+    """|got - want| <= 8 n_steps eps max(1, max |want|): the rounding of n steps
+    of a few operations each, relative to the largest compared value."""
+    got, want = np.asarray(got), np.asarray(want)
+    bound = 8 * n_steps * np.finfo(float).eps * max(1.0, float(np.max(np.abs(want))))
+    assert np.all(np.abs(got - want) <= bound), float(np.max(np.abs(got - want))) / bound
+
+
+def _staged_mc_multi(p, grid, n_paths, seed, arms, antithetic, snapshot_times, chunk_size,
+                     integrate_wealth=_integrate_wealth):
     resolved = [ps._resolve_charges(p, grid, arm.mode, arm.charge) for arm in arms]
     needs_filter = any(k_star is None or k_star > 0 for k_star, _, _ in resolved)
     snap_idx = tuple(sorted({grid.index_of(s) for s in snapshot_times}))
-    out = [{"u": np.empty(n_paths), "snap": {k: {"x": np.empty(n_paths), "y": np.empty(n_paths),
+    out = [{"e": np.empty(n_paths), "u": np.empty(n_paths), "snap": {k: {"x": np.empty(n_paths), "y": np.empty(n_paths),
                                                    "y_hat": np.empty(n_paths)} for k in snap_idx}}
            for _ in arms]
     if antithetic:
@@ -123,10 +176,11 @@ def _staged_mc_multi(p, grid, n_paths, seed, arms, antithetic, snapshot_times, c
         y, s = _integrate_signal_price(p, grid.t, by, bz)
         y_hat = _filter_prices(p, grid.t, s) if needs_filter else None
         for res, (k_star, lump, sched_rates) in zip(out, resolved):
-            x_T, snap_x = _integrate_wealth(
+            x_T, snap_x = integrate_wealth(
                 p, grid.t, y, y_hat, bz, k_star, lump, sched_rates,
                 keep_path=False, snapshot_idx=snap_idx,
             )
+            res["e"][start : start + m] = -p.gamma * x_T
             res["u"][start : start + m] = -np.exp(np.minimum(-p.gamma * x_T, EXPONENT_CAP))
             for k in snap_idx:
                 res["snap"][k]["x"][start : start + m] = snap_x[k]
@@ -155,6 +209,20 @@ def _bits(a):
     return None if a is None else np.asarray(a).tobytes()
 
 
+def _assert_runs_match(runs, staged, staged_ds, n_steps):
+    """Engine runs against the frozen stages: signal and filter bit for bit,
+    wealth and exponents within rounding, and the phi dS stages bit for bit."""
+    for run, want, want_ds in zip(runs, staged, staged_ds):
+        _assert_rounding_close(run.exponents, want["e"], n_steps)
+        assert _bits(run.exponents) == _bits(want_ds["e"])
+        assert _bits(run.utilities) == _bits(want_ds["u"])
+        for k, snap in run.snapshots.items():
+            for name in ("y", "y_hat"):
+                assert _bits(snap[name]) == _bits(want["snap"][k][name]), (k, name)
+            _assert_rounding_close(snap["x"], want["snap"][k]["x"], n_steps)
+            assert _bits(snap["x"]) == _bits(want_ds["snap"][k]["x"]), k
+
+
 # 70 steps: two full blocks of 32 and a partial one; 600 paths in one chunk
 # span several key tiles.
 @pytest.mark.parametrize("n_steps", [5, 70])
@@ -166,14 +234,13 @@ def test_engine_matches_staged_oracle(params, n_steps, antithetic, n_paths, chun
     snapshot_times = (0.0, 0.3, 1.0)  # grid indices 0, interior and n
     runs = ps.mc_multi(params, grid, n_paths, SEED, arms, antithetic=antithetic,
                        snapshot_times=snapshot_times, chunk_size=chunk_size)
-    staged = _staged_mc_multi(params, grid, n_paths, SEED, arms, antithetic,
-                              snapshot_times, chunk_size)
+    staged, staged_ds = (
+        _staged_mc_multi(params, grid, n_paths, SEED, arms, antithetic, snapshot_times,
+                         chunk_size, integrate_wealth)
+        for integrate_wealth in (_integrate_wealth, _integrate_wealth_ds)
+    )
     assert sorted(runs[0].snapshots) == [0, grid.index_of(0.3), n_steps]
-    for run, want in zip(runs, staged):
-        assert _bits(run.utilities) == _bits(want["u"])
-        for k, snap in run.snapshots.items():
-            for name in ("x", "y", "y_hat"):
-                assert _bits(snap[name]) == _bits(want["snap"][k][name]), (k, name)
+    _assert_runs_match(runs, staged, staged_ds, n_steps)
 
 
 def test_engine_without_filter_matches_staged_oracle(params):
@@ -181,13 +248,14 @@ def test_engine_without_filter_matches_staged_oracle(params):
     grid = make_grid(1.0, 40)
     arms = [ps.Arm(INFORMED_FROM_START), ps.Arm(INFORMED_FROM_START, charge=1.5)]
     runs = ps.mc_multi(params, grid, 50, SEED, arms, snapshot_times=(0.0, 1.0), chunk_size=8)
-    staged = _staged_mc_multi(params, grid, 50, SEED, arms, False, (0.0, 1.0), 8)
+    staged, staged_ds = (
+        _staged_mc_multi(params, grid, 50, SEED, arms, False, (0.0, 1.0), 8, integrate_wealth)
+        for integrate_wealth in (_integrate_wealth, _integrate_wealth_ds)
+    )
     for run, want in zip(runs, staged):
-        assert _bits(run.utilities) == _bits(want["u"])
         for k, snap in run.snapshots.items():
             assert snap["y_hat"] is None and want["snap"][k]["y_hat"] is None
-            assert _bits(snap["x"]) == _bits(want["snap"][k]["x"])
-            assert _bits(snap["y"]) == _bits(want["snap"][k]["y"])
+    _assert_runs_match(runs, staged, staged_ds, grid.n_steps)
 
 
 def test_per_path_api_matches_staged_oracle(params):
@@ -202,10 +270,30 @@ def test_per_path_api_matches_staged_oracle(params):
         for arm in _arms(params):
             k_star, lump, rates = ps._resolve_charges(params, grid, arm.mode, arm.charge)
             needs_filter = k_star is None or k_star > 0
-            want, _ = _integrate_wealth(params, grid.t, y, y_hat if needs_filter else None, bz,
-                                        k_star, lump, rates)
+            args = (params, grid.t, y, y_hat if needs_filter else None, bz, k_star, lump, rates)
+            want, _ = _integrate_wealth(*args)
+            want_ds, _ = _integrate_wealth_ds(*args)
             got = ps.run_strategy(params, grid, bundle, arm.mode, arm.charge)
-            assert got.shape == want.shape and _bits(got) == _bits(want)
+            assert got.shape == want.shape
+            _assert_rounding_close(got, want, grid.n_steps)
+            assert _bits(got) == _bits(want_ds)
+
+
+@pytest.mark.parametrize("fault", [{"phi_scale": 1 + 1e-9}, {"price_noise": False}])
+def test_rounding_bound_catches_a_wealth_fault(params, fault):
+    # the bound admits the phi dS order and rejects a position off by 1e-9
+    # relative or a gain without the price noise, on every arm
+    grid = make_grid(1.0, 70)
+    by, bz = _staged_increments(SEED, 0, 600, grid.n_steps, grid.dt, False)
+    y, s = _integrate_signal_price(params, grid.t, by, bz)
+    y_hat = _filter_prices(params, grid.t, s)
+    for arm in _arms(params):
+        k_star, lump, rates = ps._resolve_charges(params, grid, arm.mode, arm.charge)
+        args = (params, grid.t, y, y_hat, bz, k_star, lump, rates)
+        want, _ = _integrate_wealth(*args)
+        _assert_rounding_close(_integrate_wealth_ds(*args)[0], want, grid.n_steps)
+        with pytest.raises(AssertionError):
+            _assert_rounding_close(_integrate_wealth_ds(*args, **fault)[0], want, grid.n_steps)
 
 
 def test_engine_holds_no_path_matrix(params):

@@ -177,13 +177,14 @@ class TestIndifferenceLogRatio:
 
 
 class TestMcReports:
-    """One antithetic run of 2n paths gives the value reports of a plain run of
-    n paths and the price report of ``indifference_log_ratio(n)``."""
+    """One engine call of n keys, the first n/2 also mirrored, gives the value
+    reports of a plain run of n paths and the price report of
+    ``indifference_log_ratio(n)``."""
 
     @pytest.mark.parametrize("n_paths, n_steps, chunk_size, x0", [
         (1000, 50, None, 0.0),     # one chunk in every run
         (10_000, 20, None, 0.0),   # several chunks in every run
-        (30, 20, 7, 0.0),          # tiny chunks, rounded up to 8 in antithetic runs
+        (30, 20, 7, 0.0),          # tiny chunks, rounded up to 8 columns with mirrors
         (4096, 200, None, -7050.0),  # utilities past the float range: non-finite fields
     ])
     def test_equals_the_separate_runs(self, monkeypatch, n_paths, n_steps, chunk_size, x0):
@@ -192,8 +193,8 @@ class TestMcReports:
         plain = ps.mc_multi(p, grid, n_paths, seed, arms)
         c_mc, half = vo.indifference_log_ratio(p, grid, n_paths, seed)
         if chunk_size is not None:
-            engine = ps.mc_multi
-            monkeypatch.setattr(ps, "mc_multi", lambda *args, **kwargs: engine(
+            engine = ps._step_columns
+            monkeypatch.setattr(ps, "_step_columns", lambda *args, **kwargs: engine(
                 *args, **kwargs, chunk_size=chunk_size))
         reports = {r.name: r for r in vo.mc_reports(p, grid, n_paths, seed)}
         for label, run in zip(("uninformed", "informed"), plain):
