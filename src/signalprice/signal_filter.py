@@ -16,8 +16,9 @@ which satisfies
 
     sigma_z * kappa(t, u) - int_0^u kappa(t, v) kappa(u, v) dv = -sigma_y^2 u.
 
-``hitsuda_kernel`` evaluates kappa; the quadrature residual of this identity
-is one of the verification oracles.
+``hitsuda_kernel`` evaluates kappa on scalars or broadcast arrays; the
+residual of this identity under Gauss-Legendre quadrature is one of the
+verification oracles (``verify_oracles.kernel_identity_residual``).
 """
 
 from __future__ import annotations
@@ -86,11 +87,14 @@ def filter_path(p: ModelParams, grid: TimeGrid, s_path: np.ndarray) -> FilteredP
     return FilteredPath(t=t, y_hat=y_hat, innovation_increments=innov)
 
 
-def hitsuda_kernel(p: ModelParams, t: float, u: float) -> float:
-    """kappa(t, u) = -sigma_y * tanh(sigma_y u / sigma_z) for u <= t, else 0."""
-    if u > t:
-        return 0.0
-    return float(-p.sigma_y * stable_tanh(p.sigma_y / p.sigma_z * u))
+def hitsuda_kernel(p: ModelParams, t, u):
+    """kappa(t, u) = -sigma_y * tanh(sigma_y u / sigma_z) for u <= t, else 0.
+
+    ``t`` and ``u`` broadcast against each other; two scalars give a float.
+    """
+    t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
+    kappa = np.where(u > t, 0.0, -p.sigma_y * stable_tanh(p.sigma_y / p.sigma_z * u))
+    return float(kappa) if kappa.ndim == 0 else kappa
 
 
 def kalman_oracle(p: ModelParams, grid: TimeGrid, s_path: np.ndarray) -> FilteredPath:

@@ -76,13 +76,19 @@ def _python(code):
                           env=env, timeout=120)
 
 
-def test_price_does_not_import_scipy(config_file):
-    # scipy serves only the kernel oracle of verify; importing it costs most
-    # of the start-up time of every other command
+def test_commands_do_not_import_scipy(config_file, tmp_path):
+    # scipy is a test-only reference (the frozen kernel quadrature); importing
+    # scipy.integrate would cost a command about 0.6 s of CPU and 50 MB
+    sched = tmp_path / "zero.csv"
+    sched.write_text("t,c\n0,0\n1,0\n")
+    commands = [["price"], ["rates", "--out", str(tmp_path / "rates")],
+                ["subscribe", "--schedule", str(sched)], ["verify", "--suite", "fast"],
+                ["verify", "--suite", "all", "--paths", "64", "--steps", "20"]]
     done = _python(
         "import sys\n"
         "from signalprice.cli import main\n"
-        f"main(['price', '--config', {config_file!r}])\n"
+        f"for args in {commands!r}:\n"
+        f"    assert main(args + ['--config', {config_file!r}]) == 0, args\n"
         "print('scipy' in sys.modules)\n"
     )
     assert done.returncode == 0, done.stderr

@@ -1,9 +1,16 @@
 """The fast oracles against frozen copies of the code they replaced.
 
-``ode_oracle`` once built a numpy array for every right-hand-side evaluation
-and ``kernel_identity_residual`` ran one quadrature per (t, u) lattice pair.
-Those versions are kept below verbatim, and the rewritten oracles must return
-exactly what they return, bit for bit, on every configuration here.
+``ode_oracle`` once built a numpy array for every right-hand-side evaluation.
+That version is kept below verbatim, and the rewritten oracle must return
+exactly what it returns, bit for bit, on every configuration here.
+
+``kernel_identity_residual`` once ran one adaptive scipy quadrature per
+(t, u) lattice pair.  That version is kept verbatim too, as a test-only
+reference; the graded Gauss-Legendre oracle must agree with it within the
+accuracy the quadrature was asked for, 1e-10 max(1, sigma_y^2 T), and
+resolve the kernel's tanh ramp where the quadrature missed it.  The
+broadcasting ``hitsuda_kernel`` must give the frozen scalar kernel's floats
+bit for bit.
 
 ``single_period_oracle`` once found each position by a coarse scan and
 golden-section search.  That version is kept verbatim too; the Newton oracle
@@ -11,6 +18,7 @@ must give its price to 1e-14 relative, and its position to 1e-14 of the closed
 form, where the golden-section search is off by up to 6e-12.
 """
 
+import dataclasses
 import math
 from typing import Callable
 from unittest import mock
@@ -20,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 from numpy.polynomial.hermite import hermgauss
 
-from signalprice import ModelParams, make_grid
+from signalprice import DomainError, ModelParams, make_grid
 from signalprice import closed_form, signal_filter
 from signalprice import verify_oracles as vo
 
@@ -86,6 +94,13 @@ def _frozen_kernel_identity_residual(p, n_lattice=20):
             )
             worst = max(worst, residual)
     return worst
+
+
+def _frozen_hitsuda_kernel(p, t, u):
+    """kappa(t, u) = -sigma_y * tanh(sigma_y u / sigma_z) for u <= t, else 0."""
+    if u > t:
+        return 0.0
+    return float(-p.sigma_y * closed_form.stable_tanh(p.sigma_y / p.sigma_z * u))
 
 
 def _frozen_gh_standard_normal(n=64):
@@ -232,10 +247,101 @@ def test_ode_oracle_matches_frozen_rk4(config, n_steps):
 
 @pytest.mark.parametrize("n_lattice", [6, 20])
 def test_kernel_identity_matches_frozen_quadrature(config, n_lattice):
+    # the frozen quadrature was asked for 1e-10 absolute and relative accuracy
     frozen = _frozen_kernel_identity_residual(config, n_lattice)
     got = vo.kernel_identity_residual(config, n_lattice)
-    assert type(got) is type(frozen)
-    assert got == frozen
+    assert type(got) is float
+    assert abs(got - frozen) <= 1e-10 * max(1.0, config.sigma_y**2 * config.t_end)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    log_ratio=hs.floats(-3.0, 6.0),
+    log_sigma_z=hs.floats(-3.0, 0.0),
+    t_end=hs.floats(0.1, 10.0),
+    n_lattice=hs.integers(2, 40),
+)
+def test_kernel_identity_resolves_the_box(log_ratio, log_sigma_z, t_end, n_lattice):
+    # sigma_y / sigma_z in [1e-3, 1e6], sigma_z in [1e-3, 1]: the exact kernel
+    # leaves only the rounding of sigma_y^2 u
+    sigma_z = 10.0**log_sigma_z
+    p = ModelParams(**dict(WORKED, sigma_y=10.0**log_ratio * sigma_z, sigma_z=sigma_z,
+                           t_end=t_end))
+    got = vo.kernel_identity_residual(p, n_lattice)
+    assert got <= 1e-13 * max(1.0, p.sigma_y**2 * t_end)
+
+
+SHARP = [dict(WORKED, sigma_y=sy, sigma_z=1e-3) for sy in (10.0, 100.0, 1000.0)]
+
+
+@pytest.mark.parametrize("config", SHARP + CRITERION_02,
+                         ids=[f"sharp{i}" for i in range(len(SHARP))]
+                         + [f"criterion02_{i}" for i in range(len(CRITERION_02))])
+def test_kernel_report_passes_on_sharp_signals(config):
+    # the frozen quadrature missed the ramp of width sigma_z / sigma_y at
+    # sigma_z = 1e-3 and failed with residual sigma_y sigma_z from sigma_y = 10
+    p = ModelParams(**config)
+    report = vo.report_kernel(p)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("mutant", ["wrong_ramp", "wrong_amplitude"])
+@pytest.mark.parametrize("config", [WORKED] + SHARP,
+                         ids=["worked"] + [f"sharp{i}" for i in range(len(SHARP))])
+def test_kernel_identity_detects_a_wrong_kernel(monkeypatch, config, mutant):
+    p = ModelParams(**config)
+    exact = signal_filter.hitsuda_kernel
+    wrong = {
+        # -sigma_y tanh(2 sigma_y u / sigma_z)
+        "wrong_ramp": lambda p, t, u: exact(dataclasses.replace(p, sigma_z=p.sigma_z / 2.0),
+                                            t, u),
+        "wrong_amplitude": lambda p, t, u: 1.01 * exact(p, t, u),
+    }[mutant]
+    monkeypatch.setattr(signal_filter, "hitsuda_kernel", wrong)
+    assert vo.kernel_identity_residual(p) > 1e-6
+    assert not vo.report_kernel(p).passed
+
+
+@pytest.mark.parametrize("n_lattice", [-3, 0, 1])
+def test_degenerate_kernel_lattice_is_a_domain_error(params, n_lattice):
+    # one point or none would check nothing and pass
+    with pytest.raises(DomainError, match=f"n_lattice must be at least 2, got {n_lattice}"):
+        vo.kernel_identity_residual(params, n_lattice)
+
+
+_KERNEL_POINTS = [0.0, 0.1, 0.25, 0.5, 0.7, 1.0]
+
+
+@pytest.mark.parametrize("config", CONFIGS + SHARP,
+                         ids=[f"config{i}" for i in range(len(CONFIGS))]
+                         + [f"sharp{i}" for i in range(len(SHARP))])
+def test_hitsuda_kernel_scalars_match_frozen(config):
+    # covers u > t, u = t and u = 0
+    p = ModelParams(**config)
+    got = [signal_filter.hitsuda_kernel(p, t, u) for t in _KERNEL_POINTS for u in _KERNEL_POINTS]
+    frozen = [_frozen_hitsuda_kernel(p, t, u) for t in _KERNEL_POINTS for u in _KERNEL_POINTS]
+    assert _bits(got) == _bits(frozen)
+
+
+@pytest.mark.parametrize("config", CONFIGS + SHARP,
+                         ids=[f"config{i}" for i in range(len(CONFIGS))]
+                         + [f"sharp{i}" for i in range(len(SHARP))])
+def test_hitsuda_kernel_broadcasts_like_scalar_calls(config):
+    p = ModelParams(**config)
+    points = np.array(_KERNEL_POINTS)
+    shapes = [
+        (points[:, None], points[None, :]),  # (t, u) lattice: u > t, u = t, u = 0
+        (points, points[::-1]),  # elementwise
+        (0.5, points),  # scalar t
+        (points[:, None, None], np.linspace(0.0, 1.0, 12).reshape(3, 4)),
+    ]
+    for t, u in shapes:
+        got = signal_filter.hitsuda_kernel(p, t, u)
+        t_b, u_b = np.broadcast_arrays(t, u)
+        assert isinstance(got, np.ndarray) and got.shape == t_b.shape
+        want = [signal_filter.hitsuda_kernel(p, a, b)
+                for a, b in zip(t_b.ravel().tolist(), u_b.ravel().tolist())]
+        assert got.ravel().view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
 def test_square_is_numpy_scalar_power():
