@@ -76,7 +76,7 @@ class RunConfig:
 
 def _resolve_config(args) -> RunConfig:
     params, grid, mc = load_config(args.config)
-    if getattr(args, "steps", None) is not None:
+    if args.steps is not None:
         grid = make_grid(params.t_end, args.steps)
     n_paths = args.paths if getattr(args, "paths", None) is not None else mc.n_paths
     seed = args.seed if getattr(args, "seed", None) is not None else mc.seed
@@ -84,7 +84,7 @@ def _resolve_config(args) -> RunConfig:
         params=params,
         grid=grid,
         mc=McSettings(n_paths=n_paths, seed=seed),
-        out_dir=getattr(args, "out", "./out"),
+        out_dir=args.out,
     )
 
 
@@ -122,20 +122,6 @@ def cmd_rates(cfg: RunConfig, n_points: int) -> int:
     return 0
 
 
-def _closed_form_reference(cfg: RunConfig, mode_name, charge, schedule, t_star):
-    """Closed-form t = 0 value of the strategy the run simulates.
-
-    In subscribe mode that is the committed purchase at the grid point
-    nearest ``t_star``.
-    """
-    p, grid = cfg.params, cfg.grid
-    if mode_name == "uninformed":
-        return float(closed_form.value_uninformed(p, 0.0, p.x0, p.y0))
-    if mode_name == "informed":
-        return float(closed_form.value_informed(p, 0.0, p.x0, p.y0, charge))
-    return subscription_timing.value_committed(p, t_star, schedule, grid)
-
-
 def cmd_simulate(
     cfg: RunConfig,
     mode_name: str,
@@ -150,35 +136,35 @@ def cmd_simulate(
         raise DomainError(f"--dump-paths must be >= 0, got {dump_paths}")
     if not math.isfinite(charge):
         raise DomainError(f"--charge must be finite, got {charge!r}")
-    if mode_name == "uninformed":
-        mode, mode_charge = UNINFORMED, 0.0
-    elif mode_name == "informed":
-        mode, mode_charge = INFORMED_FROM_START, charge
-    else:
+    # the dumped wealth columns, in order; the estimate simulates arms[mode_name]
+    arms = {
+        "informed": path_sim.Arm(INFORMED_FROM_START, charge if mode_name == "informed" else 0.0),
+        "uninformed": path_sim.Arm(UNINFORMED),
+    }
+    if mode_name == "subscribe":
         if schedule is None or t_star is None:
             raise DomainError("simulate --mode subscribe needs --schedule and --t-star")
-        mode, mode_charge = subscribe_at(t_star), schedule
+        arms["subscribe"] = path_sim.Arm(subscribe_at(t_star), schedule)
 
     est = path_sim.mc_multi(
-        p, grid, cfg.mc.n_paths, cfg.mc.seed, [path_sim.Arm(mode, mode_charge)],
-        antithetic=antithetic,
+        p, grid, cfg.mc.n_paths, cfg.mc.seed, [arms[mode_name]], antithetic=antithetic,
     )[0].estimate()
-    closed = _closed_form_reference(cfg, mode_name, charge, schedule, t_star)
+    # closed-form t = 0 value of the simulated strategy; in subscribe mode, the
+    # committed purchase at the grid point nearest t*
+    if mode_name == "uninformed":
+        closed = float(closed_form.value_uninformed(p, 0.0, p.x0, p.y0))
+    elif mode_name == "informed":
+        closed = float(closed_form.value_informed(p, 0.0, p.x0, p.y0, charge))
+    else:
+        closed = subscription_timing.value_committed(p, t_star, schedule, grid)
     z = path_sim.z_score(est.mean, est.std_err, closed)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     for index, bundle in enumerate(path_sim.simulate_paths(p, grid, dump_paths, cfg.mc.seed)):
         wealth = {
-            "informed": path_sim.run_strategy(
-                p, grid, bundle, INFORMED_FROM_START,
-                charge=charge if mode_name == "informed" else 0.0,
-            ),
-            "uninformed": path_sim.run_strategy(p, grid, bundle, UNINFORMED),
+            label: path_sim.run_strategy(p, grid, bundle, arm.mode, arm.charge)
+            for label, arm in arms.items()
         }
-        if mode_name == "subscribe":
-            wealth["subscribe"] = path_sim.run_strategy(
-                p, grid, bundle, mode, charge=schedule
-            )
         path_sim.write_path_csv(
             os.path.join(cfg.out_dir, f"path_{index:05d}.csv"),
             grid.t, bundle.y, bundle.y_hat, bundle.s, wealth,
@@ -231,10 +217,7 @@ def cmd_subscribe(cfg: RunConfig, schedule: RateSchedule, tol: float) -> int:
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
     p = cfg.params
-    reports = []
-    reports += verify_oracles.report_ode(p)
-    reports += verify_oracles.report_single_period(p)
-    reports.append(verify_oracles.report_kernel(p))
+    reports = verify_oracles.fast_reports(p)
     if suite == "all":
         reports += verify_oracles.mc_reports(p, cfg.grid, cfg.mc.n_paths, cfg.mc.seed)
     print(_to_json([r.as_dict() for r in reports]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -154,6 +154,16 @@ _CONFIG_SCHEMA = {
 }
 
 
+def _require_names(where: str, kind: str, got, want) -> None:
+    """Raise a DomainError listing the unknown and the missing ``kind`` names."""
+    unknown = sorted(set(got) - set(want))
+    missing = sorted(set(want) - set(got))
+    if unknown or missing:
+        parts = [f"{label} {kind} {names}"
+                 for label, names in (("unknown", unknown), ("missing", missing)) if names]
+        raise DomainError(f"{where}: " + ", ".join(parts))
+
+
 def parse_config(text: str) -> tuple[ModelParams, TimeGrid, McSettings]:
     """Parse an INI-style run configuration; see ``_CONFIG_SCHEMA``."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -162,57 +172,26 @@ def parse_config(text: str) -> tuple[ModelParams, TimeGrid, McSettings]:
     except configparser.Error as exc:
         raise DomainError(f"malformed config: {exc}") from exc
 
-    sections = set(parser.sections())
-    expected = set(_CONFIG_SCHEMA)
-    if sections != expected:
-        unknown = sorted(sections - expected)
-        missing = sorted(expected - sections)
-        parts = []
-        if unknown:
-            parts.append(f"unknown sections {unknown}")
-        if missing:
-            parts.append(f"missing sections {missing}")
-        raise DomainError("config: " + ", ".join(parts))
-
-    values: dict[str, dict[str, float]] = {}
+    _require_names("config", "sections", parser.sections(), _CONFIG_SCHEMA)
+    values: dict[str, float] = {}  # key names are unique across sections
     for section, keys in _CONFIG_SCHEMA.items():
-        got = set(parser[section])
-        want = set(keys)
-        if got != want:
-            unknown = sorted(got - want)
-            missing = sorted(want - got)
-            parts = []
-            if unknown:
-                parts.append(f"unknown keys {unknown}")
-            if missing:
-                parts.append(f"missing keys {missing}")
-            raise DomainError(f"config [{section}]: " + ", ".join(parts))
-        values[section] = {}
+        _require_names(f"config [{section}]", "keys", parser[section], keys)
         for key in keys:
             raw = parser[section][key]
             try:
-                values[section][key] = float(raw)
+                values[key] = float(raw)
             except ValueError as exc:
                 raise DomainError(
                     f"config [{section}] {key}: not a decimal number: {raw!r}"
                 ) from exc
 
     def as_int(section: str, key: str) -> int:
-        v = values[section][key]
+        v = values[key]
         if not math.isfinite(v) or v != int(v):
             raise DomainError(f"config [{section}] {key}: must be an integer, got {v!r}")
         return int(v)
 
-    params = ModelParams(
-        mu=values["model"]["mu"],
-        sigma_y=values["model"]["sigma_y"],
-        sigma_z=values["model"]["sigma_z"],
-        gamma=values["investor"]["gamma"],
-        x0=values["investor"]["x0"],
-        y0=values["model"]["y0"],
-        s0=values["model"]["s0"],
-        t_end=values["horizon"]["t_end"],
-    )
+    params = ModelParams(**{field.name: values[field.name] for field in fields(ModelParams)})
     grid = make_grid(params.t_end, as_int("horizon", "steps"))
     mc = McSettings(n_paths=as_int("mc", "paths"), seed=as_int("mc", "seed"))
     if mc.n_paths < 1:

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import stable_tanh
-from .model_core import ModelParams, TimeGrid
+from .model_core import DomainError, ModelParams, TimeGrid
 
 
-class LengthMismatch(ValueError):
+class LengthMismatch(DomainError):
     """Price path and grid have different lengths."""
 
 

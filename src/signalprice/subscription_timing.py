@@ -41,7 +41,7 @@ from .closed_form import (
 from .model_core import DomainError, ModelParams, TimeGrid, write_csv
 
 
-class ScheduleDomainError(ValueError):
+class ScheduleDomainError(DomainError):
     """A rate schedule is malformed or does not cover the required interval."""
 
 
@@ -62,7 +62,7 @@ class RateSchedule:
         if np.any(np.diff(knots) <= 0.0):
             raise ScheduleDomainError("schedule knots must be strictly increasing")
         if knots[0] != 0.0:
-            raise ScheduleDomainError(f"schedule must start at t = 0, got {knots[0]!r}")
+            raise ScheduleDomainError(f"schedule must start at t = 0, got {float(knots[0])!r}")
         if np.any(values < 0.0):
             raise ScheduleDomainError("schedule rates must be >= 0")
         knots.setflags(write=False)
@@ -81,8 +81,8 @@ class RateSchedule:
     def require_cover(self, t0: float, t1: float) -> None:
         if not (self.knots[0] <= t0 and self.knots[-1] >= t1):
             raise ScheduleDomainError(
-                f"schedule domain [{self.knots[0]!r}, {self.knots[-1]!r}] "
-                f"does not cover [{t0!r}, {t1!r}]"
+                f"schedule domain [{float(self.knots[0])!r}, {float(self.knots[-1])!r}] "
+                f"does not cover [{float(t0)!r}, {float(t1)!r}]"
             )
 
     def _cumulative(self, x):
@@ -237,9 +237,8 @@ def value_committed(
     before -exp is applied, so the value is finite wherever the sum is at
     most ~709.78, and -inf beyond.
     """
-    schedule.require_cover(0.0, p.t_end)
-    pre0 = _prepurchase_exponent(p, 0.0, p.x0, p.y0, schedule)
     f_star = profile(p, schedule, grid)[grid.index_of(t_star)]
+    pre0 = _prepurchase_exponent(p, 0.0, p.x0, p.y0, schedule)
     return float(utility_from_exponent(pre0 - p.gamma * f_star))
 
 
@@ -261,7 +260,7 @@ def value_flexible(
     F, k_l, _ = _solve(p, schedule, grid, tol)
     tau_l = grid.t[k_l]
     if np.any(t > tau_l + 1e-12 * max(1.0, grid.t_end)):
-        raise DomainError(f"t beyond the latest purchase time {tau_l!r}")
+        raise DomainError(f"t beyond the latest purchase time {float(tau_l)!r}")
     gap = F[k_l] - np.interp(t, grid.t, F)
     exponent = _prepurchase_exponent(p, t, x_t, y_hat_t, schedule) - p.gamma * gap
     return utility_from_exponent(exponent)

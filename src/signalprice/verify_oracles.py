@@ -312,8 +312,8 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
     are the plain run, and the first n_paths/2 of them with their mirror
     images, interleaved, are the antithetic run.
     """
-    for antithetic in (False, True):  # the two runs the shared one stands for
-        path_sim.check_path_count(n_paths, antithetic)
+    # the stricter check of the two runs the shared one stands for
+    path_sim.check_path_count(n_paths, True)
     # keeps the n_paths + n_paths/2 columns of the engine call within one array
     if 2 * n_paths > path_sim.MAX_PATHS:
         raise DomainError(
@@ -432,55 +432,29 @@ def kernel_identity_residual(p: ModelParams, n_lattice: int = _KERNEL_LATTICE) -
     return float(np.max(residual, where=u <= t, initial=0.0))
 
 
-# --- report bundles used by the CLI verification suites ---
+# --- the deterministic reports of ``verify --suite fast`` ---
 
-def report_single_period(p: ModelParams) -> list[OracleReport]:
+def fast_reports(p: ModelParams) -> list[OracleReport]:
+    """The ode_*, single_period_* and kernel_identity reports, in output order."""
     rel_tol = _SINGLE_PERIOD_REL_TOL
+    n = _KERNEL_LATTICE
+    ode_detail = f"max |closed form - RK4 backward| over {_ODE_STEPS}-step grid; absolute"
+    errors = ode_oracle(p, make_grid(p.t_end, _ODE_STEPS))
     oracle = single_period_oracle(p)
     solution = closed_form.single_period_solve(p)
-    scale = max(1.0, abs(solution.c_hat))
-    reports = [
-        _report(
-            "single_period_price",
-            oracle.c_hat,
-            solution.c_hat,
-            rel_tol * scale,
-            f"Gauss-Hermite/Newton oracle vs closed form; tolerance {rel_tol:g} relative",
-        ),
-        _report(
-            "single_period_position",
-            oracle.phi_ui,
-            solution.phi_uninformed,
-            rel_tol * max(1.0, abs(solution.phi_uninformed)),
-            f"Newton position vs closed form; tolerance {rel_tol:g} relative",
-        ),
+    # (name, observed, expected, tolerance, detail)
+    rows = [(f"ode_{name}", err, 0.0, _ODE_TOL, ode_detail) for name, err in errors.items()]
+    rows += [
+        ("single_period_price", oracle.c_hat, solution.c_hat,
+         rel_tol * max(1.0, abs(solution.c_hat)),
+         f"Gauss-Hermite/Newton oracle vs closed form; tolerance {rel_tol:g} relative"),
+        ("single_period_position", oracle.phi_ui, solution.phi_uninformed,
+         rel_tol * max(1.0, abs(solution.phi_uninformed)),
+         f"Newton position vs closed form; tolerance {rel_tol:g} relative"),
+        ("kernel_identity", kernel_identity_residual(p), 0.0, _KERNEL_TOL,
+         f"max Volterra-identity residual on a {n}x{n} lattice; absolute"),
     ]
-    return reports
-
-
-def report_ode(p: ModelParams) -> list[OracleReport]:
-    errors = ode_oracle(p, make_grid(p.t_end, _ODE_STEPS))
-    return [
-        _report(
-            f"ode_{name}",
-            err,
-            0.0,
-            _ODE_TOL,
-            f"max |closed form - RK4 backward| over {_ODE_STEPS}-step grid; absolute",
-        )
-        for name, err in errors.items()
-    ]
-
-
-def report_kernel(p: ModelParams) -> OracleReport:
-    n = _KERNEL_LATTICE
-    return _report(
-        "kernel_identity",
-        kernel_identity_residual(p),
-        0.0,
-        _KERNEL_TOL,
-        f"max Volterra-identity residual on a {n}x{n} lattice; absolute",
-    )
+    return [_report(*row) for row in rows]
 
 
 __all__ = [
@@ -491,7 +465,5 @@ __all__ = [
     "indifference_log_ratio",
     "mc_reports",
     "kernel_identity_residual",
-    "report_single_period",
-    "report_ode",
-    "report_kernel",
+    "fast_reports",
 ]

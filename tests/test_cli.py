@@ -36,6 +36,9 @@ paths = 5000
 seed = 12
 """
 
+# A piecewise-linear rate schedule covering [0, 1], in the CSV form the CLI reads
+SCHEDULE_CSV = "t,c\n0,0.9\n0.3,0.2\n1,0.1\n"
+
 
 @pytest.fixture()
 def config_file(tmp_path):
@@ -314,6 +317,30 @@ class TestSimulate:
         assert outs[0] == outs[1]
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("mode,flags,expected", [
+        ("uninformed", [],
+         "fd3147263bf5c165e99b4d6485268f651c9dbb01cf8a0831d41c810f9a287849"),
+        ("informed", ["--charge", "1.5", "--antithetic"],
+         "801c677a18a1c228c0c8c73f96dfc520d4c403816d01f4d100162c38cf2a8a9d"),
+        ("subscribe", ["--schedule", "{schedule}", "--t-star", "0.4"],
+         "e6ee6dbdc03588297d5d8b0d9568042885948059d33c7a42065ae8478a588fb4"),
+    ])
+    def test_output_is_pinned(self, capsys, config_file, tmp_path, mode, flags, expected):
+        # the determinism contract for simulate: one digest over stdout and
+        # every file it writes (name and bytes), in sorted name order
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text(SCHEDULE_CSV)
+        out_dir = tmp_path / "sim"
+        code, out = run_cli(capsys, "simulate", "--config", config_file, "--mode", mode,
+                            *[flag.format(schedule=schedule) for flag in flags],
+                            "--paths", "2000", "--steps", "100", "--dump-paths", "2",
+                            "--out", str(out_dir))
+        assert code == 0
+        digest = hashlib.sha256(out.encode())
+        for path in sorted(out_dir.iterdir()):
+            digest.update(path.name.encode() + b"\n" + path.read_bytes())
+        assert digest.hexdigest() == expected
+
     def test_subscribe_mode(self, capsys, config_file, tmp_path, params, grid):
         sched = tmp_path / "bump.csv"
         st.bumped_schedule(params, grid, 0.2, 0.8, 2.0, 2.0).to_csv(sched)
@@ -402,6 +429,44 @@ class TestSimulate:
                      "--paths", "10", "--out", str(tmp_path / "sim")])
         assert code == 2
         assert "seed" in capsys.readouterr().err
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("rows,argv,line", [
+        ("0,0.9\n0.5,0.2\n", ["subscribe"],
+         "error: schedule domain [0.0, 0.5] does not cover [0.0, 1.0]"),
+        ("0.1,0.9\n1,0.2\n", ["subscribe"], "error: schedule must start at t = 0, got 0.1"),
+        ("0,0.9\n0.5,0.2\n",
+         ["simulate", "--mode", "subscribe", "--t-star", "0.3", "--paths", "10", "--dump-paths",
+          "0"],
+         "error: schedule domain [0.0, 0.5] does not cover [0.3, 1.0]"),
+    ])
+    def test_schedule_errors_name_plain_floats(self, capsys, config_file, tmp_path, rows,
+                                               argv, line):
+        sched = tmp_path / "sched.csv"
+        sched.write_text("t,c\n" + rows)
+        code = main([*argv, "--config", config_file, "--schedule", str(sched),
+                     "--steps", "100", "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == line + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--steps", "0"],
+        ["rates", "--points", "1"],
+        ["subscribe", "--schedule", "{schedule}", "--tol", "nan"],
+        ["simulate", "--mode", "informed", "--charge", "inf"],
+        ["simulate", "--seed", "-1"],
+        ["verify", "--suite", "all", "--paths", "1"],
+    ])
+    def test_no_error_line_shows_a_numpy_repr(self, capsys, config_file, tmp_path, argv):
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text(SCHEDULE_CSV)
+        argv = [arg.format(schedule=schedule) for arg in argv]
+        code = main([*argv, "--config", config_file, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "np." not in err
 
 
 class TestVerify:

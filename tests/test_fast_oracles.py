@@ -33,6 +33,11 @@ from signalprice import closed_form, signal_filter
 from signalprice import verify_oracles as vo
 
 
+def fast_report(p, name):
+    """The report called ``name`` from ``verify --suite fast``."""
+    return next(r for r in vo.fast_reports(p) if r.name == name)
+
+
 # --- frozen references ---
 
 def _frozen_ode_oracle(p, grid):
@@ -281,7 +286,7 @@ def test_kernel_report_passes_on_sharp_signals(config):
     # the frozen quadrature missed the ramp of width sigma_z / sigma_y at
     # sigma_z = 1e-3 and failed with residual sigma_y sigma_z from sigma_y = 10
     p = ModelParams(**config)
-    report = vo.report_kernel(p)
+    report = fast_report(p, "kernel_identity")
     assert report.passed, report
 
 
@@ -299,7 +304,7 @@ def test_kernel_identity_detects_a_wrong_kernel(monkeypatch, config, mutant):
     }[mutant]
     monkeypatch.setattr(signal_filter, "hitsuda_kernel", wrong)
     assert vo.kernel_identity_residual(p) > 1e-6
-    assert not vo.report_kernel(p).passed
+    assert not fast_report(p, "kernel_identity").passed
 
 
 @pytest.mark.parametrize("n_lattice", [-3, 0, 1])
@@ -422,5 +427,6 @@ def test_unsettled_problem_fails_the_check(monkeypatch, params):
     monkeypatch.setattr(vo, "_NEWTON_ITERS", 3)
     oracle = vo.single_period_oracle(params)
     assert math.isnan(oracle.c_hat)
-    price, position = vo.report_single_period(params)
+    price, position = (fast_report(params, f"single_period_{name}")
+                       for name in ("price", "position"))
     assert not price.passed and position.passed

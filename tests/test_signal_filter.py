@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from signalprice import ModelParams, make_grid, subscribe_at, validate
+from signalprice import DomainError, ModelParams, make_grid, subscribe_at, validate
 from signalprice import path_sim as ps
 from signalprice import signal_filter as sf
 from signalprice.signal_filter import LengthMismatch
@@ -48,6 +48,35 @@ class TestFilterPath:
     def test_length_mismatch(self, params, coarse_grid):
         with pytest.raises(LengthMismatch):
             sf.filter_path(params, coarse_grid, np.zeros(17))
+
+    @pytest.mark.parametrize("filter_fn", [sf.filter_path, sf.kalman_oracle])
+    def test_length_mismatch_is_a_domain_error(self, params, coarse_grid, filter_fn):
+        with pytest.raises(DomainError, match="^price path has 17 points, grid has 101$"):
+            filter_fn(params, coarse_grid, np.zeros(17))
+
+
+class TestExplicitFilterRange:
+    """The stable range of the explicit filter step, as the README states it.
+
+    Each step multiplies the error of y_hat by 1 - g_k dt / sigma_z, with
+    0 <= g_k < sigma_y, so y_hat stays bounded when the grid has at least
+    sigma_y T / (2 sigma_z) steps: 50 here.
+    """
+
+    P = dict(mu=0.05, sigma_y=1.0, sigma_z=0.01, gamma=0.1, x0=0.0, y0=0.0, s0=10.0, t_end=1.0)
+
+    @pytest.mark.parametrize("steps,bounded", [(40, False), (200, True)])
+    def test_error_bounded_only_past_the_boundary(self, steps, bounded):
+        p = validate(ModelParams(**self.P))
+        grid = make_grid(p.t_end, steps)
+        bundle = next(ps.simulate_paths(p, grid, 1, 3))
+        # the engine's filter and filter_path take the same steps
+        assert np.array_equal(sf.filter_path(p, grid, bundle.s).y_hat, bundle.y_hat)
+        error = np.max(np.abs(bundle.y_hat - bundle.y))
+        if bounded:
+            assert error < 5.0
+        else:
+            assert error > 1e3
 
 
 # The worked example, exact binary arithmetic, and a sharp signal (gain near

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from signalprice import DomainError, ModelParams, make_grid, validate
+from signalprice import DomainError, ModelParams, make_grid, subscribe_at, validate
 from signalprice import closed_form as cf
+from signalprice import path_sim as ps
 from signalprice import subscription_timing as st
 from signalprice.subscription_timing import RateSchedule, ScheduleDomainError
 
@@ -191,6 +192,33 @@ class TestTimingSolver:
     def test_unusable_tol_rejected(self, params, grid, schedules, solve, tol):
         with pytest.raises(DomainError, match="tol must be finite and >= 0"):
             solve(params, schedules["constant"], grid, tol)
+
+    @pytest.mark.parametrize("call,cover", [
+        (lambda p, grid, sched: ps.mc_multi(p, grid, 4, 3, [ps.Arm(subscribe_at(0.25), sched)]),
+         "[0.25, 1.0]"),
+        (lambda p, grid, sched: ps.run_strategy(
+            p, grid, next(ps.simulate_paths(p, grid, 1, 3)), subscribe_at(0.25), sched),
+         "[0.25, 1.0]"),
+        (lambda p, grid, sched: st.profile(p, sched, grid), "[0.0, 1.0]"),
+        (lambda p, grid, sched: st.earliest_time(p, sched, grid), "[0.0, 1.0]"),
+    ], ids=["mc_multi", "run_strategy", "profile", "earliest_time"])
+    def test_short_schedule_is_a_domain_error(self, params, coarse_grid, call, cover):
+        # the message prints plain floats, not numpy scalar reprs
+        short = RateSchedule(np.array([0.0, 0.5]), np.array([1.0, 1.0]))
+        with pytest.raises(DomainError) as info:
+            call(params, coarse_grid, short)
+        assert str(info.value) == f"schedule domain [0.0, 0.5] does not cover {cover}"
+
+    def test_late_start_names_a_plain_float(self):
+        with pytest.raises(DomainError) as info:
+            RateSchedule(np.array([0.1, 1.0]), np.array([1.0, 1.0]))
+        assert str(info.value) == "schedule must start at t = 0, got 0.1"
+
+    def test_flexible_value_past_tau_l_names_a_plain_float(self, params, grid, schedules):
+        # tau_l = T/2 under the flat c_bar rate
+        with pytest.raises(DomainError) as info:
+            st.value_flexible(params, 0.6, 0.0, 0.0, schedules["constant"], grid)
+        assert str(info.value) == "t beyond the latest purchase time 0.5"
 
     def test_bump_interval_must_be_interior(self, params, grid):
         with pytest.raises(ScheduleDomainError):

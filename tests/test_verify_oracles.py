@@ -25,6 +25,19 @@ def make_params(**overrides):
     return validate(ModelParams(**base))
 
 
+def fast_reports_named(p, prefix):
+    """The reports of ``verify --suite fast`` whose names start with ``prefix``."""
+    return [r for r in vo.fast_reports(p) if r.name.startswith(prefix)]
+
+
+class TestFastReports:
+    def test_names_in_output_order(self, params):
+        assert [r.name for r in vo.fast_reports(params)] == [
+            "ode_a_informed", "ode_b_informed", "ode_a_uninformed", "ode_b_uninformed",
+            "single_period_price", "single_period_position", "kernel_identity",
+        ]
+
+
 class TestOracleReport:
     def test_passed_iff_within_tolerance(self):
         ok = vo._report("x", 1.0, 1.005, 0.01, "abs")
@@ -66,7 +79,8 @@ class TestSinglePeriodOracle:
         assert oracle.phi_ui == pytest.approx(sol.phi_uninformed, rel=1e-8)
 
     def test_report_bundle_passes(self, params):
-        assert all(r.passed for r in vo.report_single_period(params))
+        reports = fast_reports_named(params, "single_period_")
+        assert len(reports) == 2 and all(r.passed for r in reports)
 
 
 class TestOdeOracle:
@@ -87,7 +101,8 @@ class TestOdeOracle:
         assert errs["a_informed"] < 1e-13 and errs["a_uninformed"] < 1e-13
 
     def test_report_bundle_passes(self, params):
-        assert all(r.passed for r in vo.report_ode(params))
+        reports = fast_reports_named(params, "ode_")
+        assert len(reports) == 4 and all(r.passed for r in reports)
 
 
 class TestKernelOracle:
@@ -95,7 +110,7 @@ class TestKernelOracle:
         assert vo.kernel_identity_residual(params, n_lattice=10) < 1e-6
 
     def test_report(self, params):
-        r = vo.report_kernel(params)
+        (r,) = fast_reports_named(params, "kernel_identity")
         assert r.passed and r.expected == 0.0
 
 
