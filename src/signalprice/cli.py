@@ -145,6 +145,8 @@ def cmd_simulate(
         if schedule is None or t_star is None:
             raise DomainError("simulate --mode subscribe needs --schedule and --t-star")
         arms["subscribe"] = path_sim.Arm(subscribe_at(t_star), schedule)
+    if schedule is not None and dump_paths:
+        schedule.require_cover(0.0, grid.t_end)  # before the estimate: v_flexible reads [0, T]
 
     est = path_sim.mc_multi(
         p, grid, cfg.mc.n_paths, cfg.mc.seed, [arms[mode_name]], antithetic=antithetic,

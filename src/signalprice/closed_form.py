@@ -167,11 +167,12 @@ def value_informed(p: ModelParams, t, x_t, y_t, charge: float = 0.0):
     """
     x = np.asarray(x_t, dtype=float) - charge
     y = np.asarray(y_t, dtype=float)
-    exponent = (
-        -p.gamma * x
-        + coeff_a_informed(p, t) * (p.mu + y) ** 2
-        + coeff_b_informed(p, t)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge signal gives -0.0 or nan
+        exponent = (
+            -p.gamma * x
+            + coeff_a_informed(p, t) * (p.mu + y) ** 2
+            + coeff_b_informed(p, t)
+        )
     return utility_from_exponent(exponent)
 
 
@@ -179,11 +180,12 @@ def value_uninformed(p: ModelParams, t, x_t, y_hat_t):
     """-exp{-gamma x + A_UI(t)(mu+y_hat)^2 + B_UI(t)}."""
     x = np.asarray(x_t, dtype=float)
     y = np.asarray(y_hat_t, dtype=float)
-    exponent = (
-        -p.gamma * x
-        + coeff_a_uninformed(p, t) * (p.mu + y) ** 2
-        + coeff_b_uninformed(p, t)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge signal gives -0.0 or nan
+        exponent = (
+            -p.gamma * x
+            + coeff_a_uninformed(p, t) * (p.mu + y) ** 2
+            + coeff_b_uninformed(p, t)
+        )
     return utility_from_exponent(exponent)
 
 

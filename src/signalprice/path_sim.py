@@ -14,7 +14,9 @@ Antithetic mode derives paths 2j and 2j+1 from the same keyed draw with
 opposite signs.
 
 A chunk's draws are held path-major (keys, 2, n), as the keyed streams
-produce them, in one buffer that every chunk of a run reuses.  The engine
+produce them, in one buffer that every chunk of a run reuses.  A chunk takes
+at most ``_DRAW_BYTES`` (32 MiB) of draws, but never fewer than ``_KEYS``
+(256) keys: within 32 MiB on grids up to 8192 steps.  The engine
 steps columns [+ keys 0 .. K-1 | - keys 0 .. M-1] (``_step_columns``), so
 the mirrors are one contiguous negation: ``mc_multi`` takes M = 0 or M = K
 (antithetic, interleaved into path order).  One step loop (``_integrate``,
@@ -97,11 +99,11 @@ class _SubstreamDrawer:
 
 
 # Increments are scaled and transposed in blocks of _BLOCK steps into one
-# reused buffer: a (2, 32, m) block of an 8192-path chunk is 4 MB, against
-# 131 MB of draws at 1000 steps.  Each block is copied _KEYS keys at a time,
-# so that the strided reads of one copy touch few pages.
+# reused (2, _BLOCK, m) buffer, _KEYS keys at a time, so that the strided reads
+# of one copy touch few pages.  A chunk draws 16 bytes per key and step.
 _BLOCK = 32
 _KEYS = 256
+_DRAW_BYTES = 32 * 2**20
 
 # One float64 array holds at most this many elements; numpy refuses larger
 # shapes with a message that names no input.
@@ -444,7 +446,8 @@ def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_
     Column j < n_keys is keyed draw j with a + sign, and column n_keys + j its
     mirror image, for j < n_mirrors <= n_keys; snapshots as in ``McRun``.  A
     chunk takes whole keys, with their mirrors, up to ``chunk_size`` columns
-    (rounded up to even when there are mirrors).
+    (rounded up to even when there are mirrors) and up to the keys whose draws
+    fit in ``_DRAW_BYTES``.
     """
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -456,14 +459,15 @@ def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_
     columns = [(new(), {k: {"x": new(), "y": new(), "y_hat": new() if needs_filter else None}
                         for k in snap_idx}) for _ in arms]
     chunk_size += chunk_size % 2 if n_mirrors else 0
+    max_keys = min(chunk_size, n_keys, max(_KEYS, _DRAW_BYTES // (16 * grid.n_steps)))
     drawer = _SubstreamDrawer(seed)
-    draws = np.empty((min(chunk_size, n_keys), 2, grid.n_steps))  # one buffer, every chunk
+    draws = np.empty((max_keys, 2, grid.n_steps))  # one buffer, every chunk
     first = 0
     while first < n_keys:
-        mirrored = min(max(n_mirrors - first, 0), chunk_size // 2)
+        mirrored = min(max(n_mirrors - first, 0), chunk_size // 2, max_keys)
         keys = mirrored
         if first + mirrored >= n_mirrors:  # room left for keys without mirrors
-            keys += min(n_keys - first - mirrored, chunk_size - 2 * mirrored)
+            keys += min(n_keys - first - mirrored, chunk_size - 2 * mirrored, max_keys - mirrored)
         z = drawer.fill(first, draws[:keys])
         m = keys + mirrored
         wealth.start(m)

@@ -208,12 +208,13 @@ def _prepurchase_exponent(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedul
     a = noise_ratio(p)
     t = np.asarray(t, dtype=float)
     remaining_cost = schedule.integral(t, p.t_end)
-    return (
-        -p.gamma * np.asarray(x_t, dtype=float)
-        + coeff_a_uninformed(p, t) * (p.mu + np.asarray(y_hat_t, dtype=float)) ** 2
-        + p.gamma * remaining_cost
-        + 0.5 * (log_cosh(a * t) - log_cosh(a * p.t_end))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge signal gives -0.0 or nan
+        return (
+            -p.gamma * np.asarray(x_t, dtype=float)
+            + coeff_a_uninformed(p, t) * (p.mu + np.asarray(y_hat_t, dtype=float)) ** 2
+            + p.gamma * remaining_cost
+            + 0.5 * (log_cosh(a * t) - log_cosh(a * p.t_end))
+        )
 
 
 def value_prepurchase(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedule):

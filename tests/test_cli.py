@@ -430,6 +430,46 @@ class TestSimulate:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--dump-paths", "-1"],
+        ["--mode", "informed", "--charge", "nan"],
+        ["--mode", "subscribe"],
+        ["--mode", "subscribe", "--schedule", "{full}"],
+        ["--mode", "subscribe", "--t-star", "0.3"],
+        ["--mode", "subscribe", "--schedule", "{full}", "--t-star", "1.5"],
+        ["--mode", "subscribe", "--schedule", "{full}", "--t-star", "-0.1"],
+        ["--mode", "subscribe", "--schedule", "{short}", "--t-star", "0.3"],
+        ["--mode", "subscribe", "--schedule", "{short}", "--t-star", "0.3", "--dump-paths", "0"],
+        ["--schedule", "{short}", "--dump-paths", "2"],
+        ["--mode", "informed", "--schedule", "{short}"],
+        ["--schedule", "{missing}"],
+        ["--seed", "-1"],
+        ["--seed", str(2**64)],
+        ["--paths", "1"],
+        ["--antithetic", "--paths", "2"],
+        ["--antithetic", "--paths", "5"],
+        ["--steps", "0"],
+        ["--paths", str(10**20)],
+    ])
+    def test_bad_input_exits_2_before_any_draw(self, capsys, config_file, tmp_path,
+                                              monkeypatch, argv):
+        # every input is checked before the estimate: no path is drawn and no
+        # file is written
+        def fill(self, first, z):
+            raise AssertionError("drew paths for a bad input")
+
+        monkeypatch.setattr(path_sim._SubstreamDrawer, "fill", fill)
+        (tmp_path / "full.csv").write_text(SCHEDULE_CSV)
+        (tmp_path / "short.csv").write_text("t,c\n0,0.9\n0.5,0.2\n")
+        out_dir = tmp_path / "sim"
+        out_dir.mkdir()
+        files = {name: str(tmp_path / f"{name}.csv") for name in ("full", "short", "missing")}
+        code = main(["simulate", "--config", config_file, "--out", str(out_dir),
+                     *[arg.format(**files) for arg in argv]])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert list(out_dir.iterdir()) == []
+
 
 class TestErrorMessages:
     @pytest.mark.parametrize("rows,argv,line", [

@@ -200,6 +200,17 @@ class TestValueFunctions:
         assert cf.value_informed(params, 0.5, -1e5, 0.0) == -math.inf
         assert cf.value_uninformed(params, 0.5, -1e5, 0.0) == -math.inf
 
+    @pytest.mark.parametrize("y", [1e200, math.inf, -math.inf])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    def test_huge_signal_writes_no_warning(self, params, y, t):
+        # (mu + y)^2 overflows; before the horizon A(t) < 0 sends the value to
+        # -0.0, and at it A(T) = 0 times inf is nan (the suite fails on a warning)
+        for got in (cf.value_informed(params, t, 0.0, y), cf.value_uninformed(params, t, 0.0, y)):
+            if t < params.t_end:
+                assert got == 0.0 and math.copysign(1.0, got) == -1.0
+            else:
+                assert math.isnan(got)
+
     def test_indifference_between_value_functions(self, params):
         # informed paying the lump price at t=0 ties the filtered-only value
         c_hat = cf.continuous_price(params).c_hat_0T

@@ -207,6 +207,68 @@ class TestEngineConsistency:
                     for name, values in snap.items():
                         assert part(snapshots[k][name]).tobytes() == values.tobytes(), (k, name)
 
+    @staticmethod
+    def _chunks(monkeypatch):
+        """Record (first key, keys, buffer keys) of every chunk's draw."""
+        fill, seen = ps._SubstreamDrawer.fill, []
+
+        def recorded(self, first, z):
+            seen.append((first, z.shape[0], z.base.shape[0]))
+            return fill(self, first, z)
+
+        monkeypatch.setattr(ps._SubstreamDrawer, "fill", recorded)
+        return seen
+
+    # 1000 keys at 100 steps draw 1.6 MB: one chunk by default, and chunks of
+    # _KEYS = 256 keys once the bound is 1 byte
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_draw_byte_bound_keeps_every_bit(self, params, coarse_grid, monkeypatch,
+                                             antithetic):
+        arms = [ps.Arm(UNINFORMED), ps.Arm(INFORMED_FROM_START),
+                ps.Arm(subscribe_at(0.5), charge=0.3)]
+        n_paths = 2000 if antithetic else 1000
+        run = lambda: ps.mc_multi(params, coarse_grid, n_paths, 9, arms, antithetic=antithetic,
+                                  snapshot_times=(0.0, 0.5, 1.0))
+        seen = self._chunks(monkeypatch)
+        whole = run()
+        assert seen == [(0, 1000, 1000)]
+        monkeypatch.setattr(ps, "_DRAW_BYTES", 1)
+        seen.clear()
+        split = run()
+        assert seen == [(0, 256, 256), (256, 256, 256), (512, 256, 256), (768, 232, 256)]
+        for a, b in zip(whole, split):
+            assert a.exponents.tobytes() == b.exponents.tobytes()
+            assert a.snapshots.keys() == b.snapshots.keys()
+            for k, snap in a.snapshots.items():
+                for name, values in snap.items():
+                    assert values.tobytes() == b.snapshots[k][name].tobytes(), (k, name)
+
+    def test_draw_byte_bound_splits_mirrors_without_changing_a_bit(
+            self, params, coarse_grid, monkeypatch):
+        # 600 keys with 300 mirrors: the bound splits the first chunk inside
+        # the mirror block, the second where it ends
+        arms = [ps.Arm(UNINFORMED), ps.Arm(INFORMED_FROM_START)]
+        step = lambda: ps._step_columns(params, coarse_grid, 9, arms, 600, 300, (0.5, 1.0))
+        seen = self._chunks(monkeypatch)
+        whole = step()
+        monkeypatch.setattr(ps, "_DRAW_BYTES", 16 * coarse_grid.n_steps * 100)
+        seen.clear()
+        split = step()
+        assert seen == [(0, 256, 256), (256, 256, 256), (512, 88, 256)]
+        for (exponents, snapshots), (want, want_snapshots) in zip(split, whole):
+            assert exponents.tobytes() == want.tobytes()
+            for k, snap in want_snapshots.items():
+                for name, values in snap.items():
+                    assert snapshots[k][name].tobytes() == values.tobytes(), (k, name)
+
+    def test_long_grid_chunk_keeps_one_key_tile(self, params, monkeypatch):
+        # at 10 000 steps 32 MiB holds 209 keys; a chunk still takes _KEYS = 256
+        grid = make_grid(1.0, 10_000)
+        assert ps._DRAW_BYTES // (16 * grid.n_steps) < ps._KEYS == 256
+        seen = self._chunks(monkeypatch)
+        ps._step_columns(params, grid, 9, [ps.Arm(INFORMED_FROM_START)], 300, 0)
+        assert seen == [(0, 256, 256), (256, 44, 256)]
+
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_two_arm_call_equals_one_arm_calls(self, params, coarse_grid, antithetic):
         # arms share paths without touching each other's state

@@ -23,6 +23,7 @@ import pytest
 from signalprice import INFORMED_FROM_START, UNINFORMED, make_grid, subscribe_at
 from signalprice import closed_form as cf
 from signalprice import path_sim as ps
+from signalprice import verify_oracles as vo
 from signalprice.closed_form import _cosh_cosh_over_cosh, noise_ratio
 from signalprice.signal_filter import filter_gain
 from signalprice.subscription_timing import RateSchedule
@@ -311,3 +312,17 @@ def test_engine_holds_no_path_matrix(params):
     finally:
         tracemalloc.stop()
     assert peak < draws_bytes + path_matrix_bytes
+
+
+def test_verify_checks_hold_one_bounded_draw_buffer(params):
+    # verify --suite all at 4096 paths and 1000 steps steps 4096 keys plus
+    # 2048 mirrors; its draws stay within one _DRAW_BYTES buffer (the 6144
+    # columns in one chunk drew 65.5 MB)
+    grid = make_grid(1.0, 1000)
+    tracemalloc.start()
+    try:
+        vo.mc_reports(params, grid, 4096, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ps._DRAW_BYTES + 16 * 2**20

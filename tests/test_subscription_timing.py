@@ -277,6 +277,16 @@ class TestPrepurchaseValue:
         with pytest.raises(ScheduleDomainError):
             st.value_prepurchase(params, 0.2, 0.0, 0.0, short)
 
+    @pytest.mark.parametrize("y_hat", [1e200, math.inf, -math.inf])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    def test_huge_signal_writes_no_warning(self, params, schedules, y_hat, t):
+        # as closed_form.value_uninformed: -0.0 before the horizon, nan at it
+        got = st.value_prepurchase(params, t, 0.0, y_hat, schedules["constant"])
+        if t < params.t_end:
+            assert got == 0.0 and math.copysign(1.0, got) == -1.0
+        else:
+            assert math.isnan(got)
+
     def test_tower_property_over_filtered_state_buckets(self, params, grid, schedules):
         """MC oracle: bucket-averages of the informed value match the formula.
 
