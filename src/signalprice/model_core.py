@@ -95,7 +95,10 @@ class TimeGrid:
         return self.t_end / self.n_steps
 
     def index_of(self, time: float) -> int:
-        """Nearest grid index to ``time``; ties resolve to the earlier point."""
+        """Nearest grid index to ``time``; ties resolve to the earlier point.
+        A time not finite or more than dt/2 outside [0, t_end] is an error."""
+        if not -0.5 * self.dt <= time <= self.t_end + 0.5 * self.dt:
+            raise DomainError(f"time {float(time)!r} is off the grid [0.0, {self.t_end!r}]")
         return int(np.argmin(np.abs(self.t - time)))
 
 

@@ -15,8 +15,8 @@ opposite signs.
 
 A chunk's draws are held path-major (keys, 2, n), as the keyed streams
 produce them, in one buffer that every chunk of a run reuses.  A chunk takes
-at most ``_DRAW_BYTES`` (32 MiB) of draws, but never fewer than ``_KEYS``
-(256) keys: within 32 MiB on grids up to 8192 steps.  The engine
+at most 4096 columns and ``_DRAW_BYTES`` (32 MiB) of draws, but never fewer
+than ``_KEYS`` (256) keys: within 32 MiB on grids up to 8192 steps.  The engine
 steps columns [+ keys 0 .. K-1 | - keys 0 .. M-1] (``_step_columns``), so
 the mirrors are one contiguous negation: ``mc_multi`` takes M = 0 or M = K
 (antithetic, interleaved into path order).  One step loop (``_integrate``,
@@ -32,7 +32,8 @@ API agree bit for bit.  ``_Wealth`` is the one place that resolves arms
 holds one of the two closed-form position rules at each step: the true-signal
 rule once subscribed, the filtered-signal rule before.
 ``mc_multi`` evaluates several (mode, charge) arms on one shared set of
-paths: common random numbers for indifference comparisons.
+paths: common random numbers for indifference comparisons; a snapshot's
+signal and filtered signal are one read-only row for every arm.
 ``mean_std_err`` is the one standard-error rule, pairing antithetic values,
 and ``z_score`` the one rule for a z against a reference.
 """
@@ -108,6 +109,8 @@ _DRAW_BYTES = 32 * 2**20
 # One float64 array holds at most this many elements; numpy refuses larger
 # shapes with a message that names no input.
 MAX_PATHS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+# The most steps whose draws for one key fit in _DRAW_BYTES: 2,097,152.
+MAX_STEPS = _DRAW_BYTES // 16
 
 
 def _increment_rows(z: np.ndarray, dt: float, n_mirrors: int) -> Iterator[tuple]:
@@ -358,7 +361,9 @@ class McRun:
     """Per-path terminal exponents -gamma X_T plus optional state snapshots.
 
     The utility of a path is -exp(exponent); keeping the exponent lets
-    log-space aggregates stay finite where the utility overflows.
+    log-space aggregates stay finite where the utility overflows.  A snapshot
+    maps "x" to the arm's wealth and "y", "y_hat" to the path state, which is
+    one read-only array shared by every run of the same engine call.
     """
 
     exponents: np.ndarray
@@ -409,7 +414,7 @@ def mc_multi(
     arms: list[Arm],
     antithetic: bool = False,
     snapshot_times: tuple[float, ...] = (),
-    chunk_size: int = 8192,
+    chunk_size: int = 4096,
 ) -> list[McRun]:
     """Terminal exponents -gamma X_T for several arms on shared paths.
 
@@ -424,10 +429,19 @@ def mc_multi(
                             snapshot_times, chunk_size)
     # path 2j is column j (key j), path 2j + 1 column keys + j (its mirror)
     order = (lambda a: _interleave(a[:keys], a[keys:])) if antithetic else (lambda a: a)
+    return _runs(columns, antithetic, order)
+
+
+def _runs(columns: list[tuple], antithetic: bool, order) -> list[McRun]:
+    """One ``McRun`` per arm of ``_step_columns`` output, each column put in
+    path order by ``order``: the shared path state once, read-only."""
+    state = {k: {name: a if a is None else order(a) for name, a in snap.items() if name != "x"}
+             for _, snapshots in columns[:1] for k, snap in snapshots.items()}
+    for a in (a for snap in state.values() for a in snap.values() if a is not None):
+        a.setflags(write=False)
     return [
         McRun(order(exponents), antithetic,
-              {k: {name: None if a is None else order(a) for name, a in snap.items()}
-               for k, snap in snapshots.items()})
+              {k: {"x": order(snap["x"]), **state[k]} for k, snap in snapshots.items()})
         for exponents, snapshots in columns
     ]
 
@@ -440,24 +454,27 @@ def _interleave(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
 
 
 def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_keys: int,
-                  n_mirrors: int, snapshot_times=(), chunk_size: int = 8192) -> list[tuple]:
+                  n_mirrors: int, snapshot_times=(), chunk_size: int = 4096) -> list[tuple]:
     """(exponents -gamma X_T, snapshots) per arm, on n_keys + n_mirrors columns.
 
     Column j < n_keys is keyed draw j with a + sign, and column n_keys + j its
-    mirror image, for j < n_mirrors <= n_keys; snapshots as in ``McRun``.  A
-    chunk takes whole keys, with their mirrors, up to ``chunk_size`` columns
-    (rounded up to even when there are mirrors) and up to the keys whose draws
-    fit in ``_DRAW_BYTES``.
+    mirror image, for j < n_mirrors <= n_keys; snapshots as in ``McRun``, each
+    time's "y" and "y_hat" one array for every arm.  A chunk takes whole keys,
+    with their mirrors, up to ``chunk_size`` columns (rounded up to even when
+    there are mirrors) and up to the keys whose draws fit in ``_DRAW_BYTES``.
     """
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
+    if grid.n_steps > MAX_STEPS:
+        raise DomainError(f"n_steps must be at most {MAX_STEPS}, the steps whose draws for "
+                          f"one path fit in {16 * MAX_STEPS >> 20} MiB, got {grid.n_steps}")
+    snap_idx = tuple(sorted({grid.index_of(s) for s in snapshot_times}))
     wealth = _Wealth(p, grid, arms)
     needs_filter = wealth.needs_filter
     gains = signal_filter.filter_gain(p, grid.t[:-1]).tolist() if needs_filter else None
-    snap_idx = tuple(sorted({grid.index_of(s) for s in snapshot_times}))
     new = lambda: np.empty(n_keys + n_mirrors)
-    columns = [(new(), {k: {"x": new(), "y": new(), "y_hat": new() if needs_filter else None}
-                        for k in snap_idx}) for _ in arms]
+    state = {k: {"y": new(), "y_hat": new() if needs_filter else None} for k in snap_idx}
+    columns = [(new(), {k: {"x": new(), **state[k]} for k in snap_idx}) for _ in arms]
     chunk_size += chunk_size % 2 if n_mirrors else 0
     max_keys = min(chunk_size, n_keys, max(_KEYS, _DRAW_BYTES // (16 * grid.n_steps)))
     drawer = _SubstreamDrawer(seed)
@@ -482,10 +499,11 @@ def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_
 
         for k, (y, _, y_hat) in enumerate(steps):
             if k in snap_idx:
+                for name, row in (("y", y), ("y_hat", y_hat)):
+                    if row is not None:
+                        put(state[k][name], row)
                 for (_, snapshots), x in zip(columns, wealth.x):
-                    for name, row in (("x", x), ("y", y), ("y_hat", y_hat)):
-                        if row is not None:
-                            put(snapshots[k][name], row)
+                    put(snapshots[k]["x"], x)
         for (exponents, _), x_T in zip(columns, wealth.x):
             put(exponents, -p.gamma * x_T)
         first += keys

@@ -325,13 +325,8 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
         p, grid, seed, [path_sim.Arm(UNINFORMED), path_sim.Arm(INFORMED_FROM_START)],
         n_paths, n_paths // 2, check_times,
     )
-    plus = lambda a: a[:n_paths]  # keyed draws 0 .. n_paths-1 with a + sign
-    uninformed, informed = (
-        path_sim.McRun(plus(exponents), False, {
-            k: {name: plus(a) for name, a in snap.items()} for k, snap in snapshots.items()
-        })
-        for exponents, snapshots in columns
-    )
+    # keyed draws 0 .. n_paths-1 with a + sign
+    uninformed, informed = path_sim._runs(columns, False, lambda a: a[:n_paths])
     # (label, run, snapshot signal the position uses, value function V(t, x, signal))
     modes = (
         ("uninformed", uninformed, "y_hat",

@@ -470,6 +470,29 @@ class TestSimulate:
         assert code == 2 and out == "" and err.startswith("error: ")
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("steps,reached", [(2_097_153, False), (2_097_152, True)])
+    def test_steps_past_one_path_draw_budget_exit_2(self, capsys, config_file, tmp_path,
+                                                    monkeypatch, steps, reached):
+        # one path's draws at 2,097,153 steps pass 32 MiB: exit 2 before any
+        # per-step table or draw is built
+        class Reached(Exception):
+            pass
+
+        def wealth(*args):
+            raise Reached
+
+        monkeypatch.setattr(path_sim, "_Wealth", wealth)
+        argv = ["simulate", "--config", config_file, "--out", str(tmp_path / "sim"),
+                "--paths", "10", "--steps", str(steps)]
+        if reached:
+            with pytest.raises(Reached):
+                main(argv)
+            return
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: n_steps must be at most 2097152, the steps whose draws for " \
+                      f"one path fit in 32 MiB, got {steps}\n"
+
 
 class TestErrorMessages:
     @pytest.mark.parametrize("rows,argv,line", [

@@ -12,6 +12,7 @@ from signalprice import (
 )
 from signalprice import closed_form as cf
 from signalprice import path_sim as ps
+from signalprice import subscription_timing as st
 from signalprice.subscription_timing import RateSchedule, ScheduleDomainError
 
 from conftest import dyadic_params
@@ -159,6 +160,42 @@ class TestEngineConsistency:
                           snapshot_times=(1.0,))[0]
         y_T = run.snapshots[coarse_grid.n_steps]["y"]
         assert y_T[1] == -y_T[0] and y_T[3] == -y_T[2]
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_arms_share_one_read_only_path_state(self, params, coarse_grid, antithetic):
+        # y and y_hat belong to the paths: one array per time for every arm
+        arms = [ps.Arm(UNINFORMED), ps.Arm(INFORMED_FROM_START),
+                ps.Arm(subscribe_at(0.5), charge=0.3)]
+        runs = ps.mc_multi(params, coarse_grid, 40, 9, arms, antithetic=antithetic,
+                           snapshot_times=(0.0, 0.5, 1.0))
+        for k, snap in runs[0].snapshots.items():
+            for name in ("y", "y_hat"):
+                assert all(run.snapshots[k][name] is snap[name] for run in runs), (k, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    snap[name][0] = 0.0
+            assert len({id(run.snapshots[k]["x"]) for run in runs}) == len(arms)
+
+    @pytest.mark.parametrize("time,index", [
+        (math.nan, None), (math.inf, None), (-0.1, None), (1.5, None), (1.04, 10),
+    ])
+    def test_off_grid_times_rejected_before_any_draw(self, params, monkeypatch, time, index):
+        # a time more than dt/2 outside [0, T] is an error, not snapped to an end
+        grid = make_grid(1.0, 10)
+
+        def fill(self, first, z):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(ps._SubstreamDrawer, "fill", fill)
+        schedule = RateSchedule.constant(0.1, 1.0)
+        if index is not None:
+            assert grid.index_of(time) == index
+            with pytest.raises(AssertionError, match="drew paths"):
+                ps.mc_multi(params, grid, 10, 9, [ps.Arm()], snapshot_times=(time,))
+            return
+        with pytest.raises(DomainError, match=f"time {time!r} is off the grid"):
+            ps.mc_multi(params, grid, 10, 9, [ps.Arm()], snapshot_times=(time,))
+        with pytest.raises(DomainError, match=f"time {time!r} is off the grid"):
+            st.value_committed(params, time, schedule, grid)
 
     @pytest.mark.parametrize("chunk_size", [6, 8192])
     def test_even_antithetic_paths_are_the_plain_run(self, params, coarse_grid, chunk_size):

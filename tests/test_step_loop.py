@@ -326,3 +326,21 @@ def test_verify_checks_hold_one_bounded_draw_buffer(params):
     finally:
         tracemalloc.stop()
     assert peak < ps._DRAW_BYTES + 16 * 2**20
+
+
+def test_six_arm_call_holds_the_path_state_once(params):
+    # the subscribe_arms call: 20000 paths, 100 steps, six arms, four
+    # snapshots.  Each time's y and y_hat are held once for all arms and a
+    # chunk takes 4096 columns: about 15 MiB traced, where a y and y_hat per
+    # arm and 8192-column chunks take about 30 MiB
+    grid = make_grid(1.0, 100)
+    schedule = RateSchedule.constant(cf.continuous_price(params).c_bar, params.t_end)
+    arms = [ps.Arm(UNINFORMED)] + [ps.Arm(subscribe_at(t), charge=schedule)
+                                   for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    tracemalloc.start()
+    try:
+        ps.mc_multi(params, grid, 20000, SEED, arms, snapshot_times=(0.25, 0.5, 0.75, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
