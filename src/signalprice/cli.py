@@ -264,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("subscribe", help="optimal purchase window for a rate schedule")
     common(sp, mc_flags=False)
     sp.add_argument("--schedule", required=True, help="rate-schedule CSV (t,c)")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=subscription_timing.TOL)
 
     sp = sub.add_parser("verify", help="run the numerical oracle suite")
     common(sp)

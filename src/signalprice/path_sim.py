@@ -15,11 +15,13 @@ opposite signs.
 
 A chunk's draws are held path-major (keys, 2, n), as the keyed streams
 produce them, in one buffer that every chunk of a run reuses.  A chunk takes
-at most 4096 columns and ``_DRAW_BYTES`` (32 MiB) of draws, but never fewer
-than ``_KEYS`` (256) keys: within 32 MiB on grids up to 8192 steps.  The engine
-steps columns [+ keys 0 .. K-1 | - keys 0 .. M-1] (``_step_columns``), so
-the mirrors are one contiguous negation: ``mc_multi`` takes M = 0 or M = K
-(antithetic, interleaved into path order).  One step loop (``_integrate``,
+at most ``_COLUMNS`` (4096) columns and ``_DRAW_BYTES`` (32 MiB) of draws, but
+never fewer than ``_KEYS`` (256) keys: within 32 MiB on grids up to 8192
+steps.  The engine steps columns [+ keys 0 .. K-1 | - keys 0 .. M-1]
+(``_step_columns``), so the mirrors are one contiguous negation, and hands
+back the plain runs over the + columns and, with M > 0, the paired runs of
+the first M keys and their mirrors in antithetic path order: ``mc_multi``
+takes M = 0 or M = K (antithetic).  One step loop (``_integrate``,
 with ``_Wealth`` for the arms) advances signal, price, filtered signal and
 every arm's wealth a step at a time on (m,) rows, updated in place.  It reads
 the increments in blocks of a few dozen steps, scaled and transposed into one
@@ -105,6 +107,8 @@ class _SubstreamDrawer:
 _BLOCK = 32
 _KEYS = 256
 _DRAW_BYTES = 32 * 2**20
+# At most this many columns per chunk (paths, antithetic mirrors included)
+_COLUMNS = 4096
 
 # One float64 array holds at most this many elements; numpy refuses larger
 # shapes with a message that names no input.
@@ -280,10 +284,6 @@ def _resolve_charges(
 
     t* is snapped to the nearest grid index, ties toward the earlier point.
     """
-    if mode.subscribe_time is not None and mode.subscribe_time > grid.t_end + 0.5 * grid.dt:
-        raise DomainError(
-            f"subscribe time {mode.subscribe_time!r} is beyond the horizon {grid.t_end!r}"
-        )
     k_star = None if mode.subscribe_time is None else grid.index_of(mode.subscribe_time)
     lump = 0.0
     sched_rates = None
@@ -363,7 +363,8 @@ class McRun:
     The utility of a path is -exp(exponent); keeping the exponent lets
     log-space aggregates stay finite where the utility overflows.  A snapshot
     maps "x" to the arm's wealth and "y", "y_hat" to the path state, which is
-    one read-only array shared by every run of the same engine call.
+    one read-only array shared by every arm's run of the same kind (plain or
+    paired) from one engine call.
     """
 
     exponents: np.ndarray
@@ -414,57 +415,34 @@ def mc_multi(
     arms: list[Arm],
     antithetic: bool = False,
     snapshot_times: tuple[float, ...] = (),
-    chunk_size: int = 4096,
 ) -> list[McRun]:
     """Terminal exponents -gamma X_T for several arms on shared paths.
 
     All arms see identical (seed, index) scenarios (common random numbers);
     only the position rule and charges differ.  Snapshot times are snapped to
     the grid; each snapshot stores per-path wealth, signal, and (when
-    computed) filtered signal for martingale-style checks.
+    computed) filtered signal for martingale-style checks.  An antithetic run
+    is the paired runs of ``_step_columns`` with every key mirrored.
     """
     check_path_count(n_paths, antithetic)
     keys = n_paths // 2 if antithetic else n_paths
-    columns = _step_columns(p, grid, seed, arms, keys, keys if antithetic else 0,
-                            snapshot_times, chunk_size)
-    # path 2j is column j (key j), path 2j + 1 column keys + j (its mirror)
-    order = (lambda a: _interleave(a[:keys], a[keys:])) if antithetic else (lambda a: a)
-    return _runs(columns, antithetic, order)
-
-
-def _runs(columns: list[tuple], antithetic: bool, order) -> list[McRun]:
-    """One ``McRun`` per arm of ``_step_columns`` output, each column put in
-    path order by ``order``: the shared path state once, read-only."""
-    state = {k: {name: a if a is None else order(a) for name, a in snap.items() if name != "x"}
-             for _, snapshots in columns[:1] for k, snap in snapshots.items()}
-    for a in (a for snap in state.values() for a in snap.values() if a is not None):
-        a.setflags(write=False)
-    return [
-        McRun(order(exponents), antithetic,
-              {k: {"x": order(snap["x"]), **state[k]} for k, snap in snapshots.items()})
-        for exponents, snapshots in columns
-    ]
-
-
-def _interleave(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """Antithetic path order: plus[j] at 2j and minus[j] at 2j + 1."""
-    out = np.empty(2 * plus.shape[0])
-    out[0::2], out[1::2] = plus, minus
-    return out
+    plain, paired = _step_columns(p, grid, seed, arms, keys, keys if antithetic else 0,
+                                  snapshot_times)
+    return paired if antithetic else plain
 
 
 def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_keys: int,
-                  n_mirrors: int, snapshot_times=(), chunk_size: int = 4096) -> list[tuple]:
-    """(exponents -gamma X_T, snapshots) per arm, on n_keys + n_mirrors columns.
+                  n_mirrors: int, snapshot_times=()) -> tuple[list[McRun], list[McRun]]:
+    """(plain, paired) runs, one ``McRun`` per arm each, from one engine call.
 
-    Column j < n_keys is keyed draw j with a + sign, and column n_keys + j its
-    mirror image, for j < n_mirrors <= n_keys; snapshots as in ``McRun``, each
-    time's "y" and "y_hat" one array for every arm.  A chunk takes whole keys,
-    with their mirrors, up to ``chunk_size`` columns (rounded up to even when
-    there are mirrors) and up to the keys whose draws fit in ``_DRAW_BYTES``.
+    The call steps n_keys + n_mirrors columns: keyed draws j < n_keys with a +
+    sign, and the mirror images of the first n_mirrors <= n_keys.  ``plain``
+    is the + columns in key order; ``paired`` is the first n_mirrors keys,
+    each followed by its mirror (antithetic path order), and [] without
+    mirrors.  Each snapshot time's "y" and "y_hat" is one read-only array for
+    every run of a kind.  A chunk takes whole keys, with their mirrors, up to
+    ``_COLUMNS`` columns and up to the keys whose draws fit in ``_DRAW_BYTES``.
     """
-    if chunk_size < 1:
-        raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     if grid.n_steps > MAX_STEPS:
         raise DomainError(f"n_steps must be at most {MAX_STEPS}, the steps whose draws for "
                           f"one path fit in {16 * MAX_STEPS >> 20} MiB, got {grid.n_steps}")
@@ -474,24 +452,21 @@ def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_
     gains = signal_filter.filter_gain(p, grid.t[:-1]).tolist() if needs_filter else None
     new = lambda: np.empty(n_keys + n_mirrors)
     state = {k: {"y": new(), "y_hat": new() if needs_filter else None} for k in snap_idx}
-    columns = [(new(), {k: {"x": new(), **state[k]} for k in snap_idx}) for _ in arms]
-    chunk_size += chunk_size % 2 if n_mirrors else 0
-    max_keys = min(chunk_size, n_keys, max(_KEYS, _DRAW_BYTES // (16 * grid.n_steps)))
+    columns = [(new(), {k: new() for k in snap_idx}) for _ in arms]  # (exponents, x)
+    max_keys = min(_COLUMNS, n_keys, max(_KEYS, _DRAW_BYTES // (16 * grid.n_steps)))
     drawer = _SubstreamDrawer(seed)
     draws = np.empty((max_keys, 2, grid.n_steps))  # one buffer, every chunk
     first = 0
     while first < n_keys:
-        mirrored = min(max(n_mirrors - first, 0), chunk_size // 2, max_keys)
+        mirrored = min(max(n_mirrors - first, 0), _COLUMNS // 2, max_keys)
         keys = mirrored
         if first + mirrored >= n_mirrors:  # room left for keys without mirrors
-            keys += min(n_keys - first - mirrored, chunk_size - 2 * mirrored, max_keys - mirrored)
-        z = drawer.fill(first, draws[:keys])
+            keys += min(n_keys - first - mirrored, _COLUMNS - 2 * mirrored, max_keys - mirrored)
+        rows = _increment_rows(drawer.fill(first, draws[:keys]), grid.dt, mirrored)
         m = keys + mirrored
         wealth.start(m)
-        steps = _integrate(
-            p, grid, _increment_rows(z, grid.dt, mirrored), np.full(m, p.y0), np.full(m, p.s0),
-            np.full(m, p.y0) if needs_filter else None, gains, wealth,
-        )
+        steps = _integrate(p, grid, rows, np.full(m, p.y0), np.full(m, p.s0),
+                           np.full(m, p.y0) if needs_filter else None, gains, wealth)
         plus, minus = slice(first, first + keys), slice(n_keys + first, n_keys + first + mirrored)
 
         def put(out, row):
@@ -502,12 +477,28 @@ def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_
                 for name, row in (("y", y), ("y_hat", y_hat)):
                     if row is not None:
                         put(state[k][name], row)
-                for (_, snapshots), x in zip(columns, wealth.x):
-                    put(snapshots[k]["x"], x)
+                for (_, x_snaps), x in zip(columns, wealth.x):
+                    put(x_snaps[k], x)
         for (exponents, _), x_T in zip(columns, wealth.x):
             put(exponents, -p.gamma * x_T)
         first += keys
-    return columns
+    del draws  # the paired runs are built without it
+
+    def runs(order, antithetic):
+        shared = {k: {name: a if a is None else order(a) for name, a in snap.items()}
+                  for k, snap in state.items()}
+        for a in (a for snap in shared.values() for a in snap.values() if a is not None):
+            a.setflags(write=False)
+        return [McRun(order(exponents), antithetic,
+                      {k: {"x": order(x), **shared[k]} for k, x in x_snaps.items()})
+                for exponents, x_snaps in columns]
+
+    def pair(a):  # path 2j is column j (key j), path 2j + 1 column n_keys + j (its mirror)
+        out = np.empty(2 * n_mirrors)
+        out[0::2], out[1::2] = a[:n_mirrors], a[n_keys:]
+        return out
+
+    return runs(lambda a: a[:n_keys], False), runs(pair, True) if n_mirrors else []
 
 
 def write_path_csv(path, t, y, y_hat, s, wealth_columns: dict[str, np.ndarray]) -> None:

@@ -163,6 +163,10 @@ def _latest_index(F: np.ndarray, tol_abs: float) -> int:
     return int(hits[0]) if hits.size else n
 
 
+# Default tolerance on F-differences, in units of max(1, max |F|), that decides tau_l
+TOL = 1e-9
+
+
 def _solve(p: ModelParams, schedule: RateSchedule, grid: TimeGrid, tol: float):
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
@@ -189,7 +193,7 @@ class TimingResult:
 
 
 def earliest_time(
-    p: ModelParams, schedule: RateSchedule, grid: TimeGrid, tol: float = 1e-9
+    p: ModelParams, schedule: RateSchedule, grid: TimeGrid, tol: float = TOL
 ) -> TimingResult:
     """Solve for tau_e, tau_l, and the full indifference set on the grid."""
     F, k_l, tol_abs = _solve(p, schedule, grid, tol)
@@ -250,15 +254,15 @@ def value_flexible(
     y_hat_t,
     schedule: RateSchedule,
     grid: TimeGrid,
-    tol: float = 1e-9,
 ):
     """Value when the purchase time may still be chosen, valid on [0, tau_l].
 
     Exceeds ``value_prepurchase`` by the factor exp(gamma (F(tau_l) - F(t)))
-    and matches it exactly where immediate purchase is optimal.
+    and matches it exactly where immediate purchase is optimal.  tau_l is
+    that of ``earliest_time`` at its default tolerance.
     """
     t = np.asarray(t, dtype=float)
-    F, k_l, _ = _solve(p, schedule, grid, tol)
+    F, k_l, _ = _solve(p, schedule, grid, TOL)
     tau_l = grid.t[k_l]
     if np.any(t > tau_l + 1e-12 * max(1.0, grid.t_end)):
         raise DomainError(f"t beyond the latest purchase time {float(tau_l)!r}")

@@ -83,9 +83,9 @@ _EPS = math.ulp(1.0)
 
 
 @functools.cache
-def _gh_standard_normal(n: int = _GH_NODES):
+def _gh_standard_normal():
     """Read-only nodes/weights (z, w) with sum(w) = 1 for standard-normal expectations."""
-    x, w = hermgauss(n)
+    x, w = hermgauss(_GH_NODES)
     z, w = math.sqrt(2.0) * x, w / math.sqrt(math.pi)
     z.setflags(write=False)
     w.setflags(write=False)
@@ -290,7 +290,8 @@ def _log_ratio(p, informed, uninformed) -> tuple[float, float]:
         log_means.append(top + math.log(mean))
         weights.append(scaled / mean)
     (lme_informed, lme_uninformed), (w_informed, w_uninformed) = log_means, weights
-    c_star = max(0.0, (lme_uninformed - lme_informed) / p.gamma)
+    # a nan exponent gives a nan price, where max(0.0, nan) would give 0.0
+    c_star = np.maximum((lme_uninformed - lme_informed) / p.gamma, 0.0)
     _, se = path_sim.mean_std_err((w_uninformed - w_informed) / p.gamma, True)
     return float(c_star), se
 
@@ -310,7 +311,7 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
     from one engine call that steps exactly the paths they read: keyed draws
     0 .. n_paths-1 with a + sign, which every engine step treats elementwise,
     are the plain run, and the first n_paths/2 of them with their mirror
-    images, interleaved, are the antithetic run.
+    images are the antithetic run; ``path_sim._step_columns`` hands back both.
     """
     # the stricter check of the two runs the shared one stands for
     path_sim.check_path_count(n_paths, True)
@@ -321,12 +322,10 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
             f"Monte-Carlo checks, got {n_paths}"
         )
     check_times = tuple(f * grid.t_end for f in _MARTINGALE_FRACTIONS)
-    columns = path_sim._step_columns(
+    (uninformed, informed), (paired_uninformed, paired_informed) = path_sim._step_columns(
         p, grid, seed, [path_sim.Arm(UNINFORMED), path_sim.Arm(INFORMED_FROM_START)],
         n_paths, n_paths // 2, check_times,
     )
-    # keyed draws 0 .. n_paths-1 with a + sign
-    uninformed, informed = path_sim._runs(columns, False, lambda a: a[:n_paths])
     # (label, run, snapshot signal the position uses, value function V(t, x, signal))
     modes = (
         ("uninformed", uninformed, "y_hat",
@@ -358,9 +357,7 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
         )
         reports.append(_report(f"mc_martingale_{label}", worst, 0.0, 3.0, detail))
 
-    pairs = lambda e: path_sim._interleave(e[: n_paths // 2], e[n_paths:])
-    (e_uninformed, _), (e_informed, _) = columns
-    c_mc, half = _log_ratio(p, pairs(e_informed), pairs(e_uninformed))
+    c_mc, half = _log_ratio(p, paired_informed.exponents, paired_uninformed.exponents)
     reports.append(_report(
         "mc_indifference_price",
         c_mc,

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -50,3 +51,50 @@ def test_benchmark_entry_points_exist():
     missing = [f"{module}.{name}" for module, name in used
                if not hasattr(importlib.import_module(f"signalprice.{module}"), name)]
     assert missing == []
+
+
+def _package_object(node):
+    """What a workloads expression names in the package (a module alias,
+    api("<module>"), then attributes), or None."""
+    if isinstance(node, ast.Name) and node.id in BENCH_ALIASES:
+        return importlib.import_module(f"signalprice.{BENCH_ALIASES[node.id]}")
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "api"
+            and isinstance(node.args[0], ast.Constant)):
+        return importlib.import_module(f"signalprice.{node.args[0].value}")
+    owner = _package_object(node.value) if isinstance(node, ast.Attribute) else None
+    return None if owner is None else getattr(owner, node.attr, None)
+
+
+def _benchmark_calls():
+    """(callee source, callable, positional count, keywords) of every call the
+    workloads make to the package, directly or through
+    ``rec.call(kind, fn, *args, key=, **kwargs)``; a starred argument counts
+    as none."""
+    calls = []
+    for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        keywords = [kw.arg for kw in node.keywords if kw.arg is not None]
+        if (isinstance(func, ast.Attribute) and func.attr == "call"
+                and isinstance(func.value, ast.Name) and func.value.id == "rec"):
+            func, args, keywords = args[1], args[2:], [kw for kw in keywords if kw != "key"]
+        fn = _package_object(func)
+        if callable(fn):
+            n_args = sum(not isinstance(arg, ast.Starred) for arg in args)
+            calls.append((ast.unparse(func), fn, n_args, keywords))
+    return calls
+
+
+def test_benchmark_calls_fit_their_signatures():
+    # a parameter the benchmark passes cannot leave the API unnoticed
+    calls = _benchmark_calls()
+    callees = {source for source, *_ in calls}
+    assert {"ps.mc_multi", "ps.Arm", "ps.run_strategy", "st.RateSchedule.constant"} <= callees
+    rejected = []
+    for source, fn, n_args, keywords in calls:
+        try:
+            inspect.signature(fn).bind_partial(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as err:
+            rejected.append(f"{source}: {err}")
+    assert rejected == []

@@ -150,9 +150,11 @@ class TestEngineConsistency:
         assert np.array_equal(tie, earlier)
         assert not np.array_equal(tie, later)
 
-    def test_chunk_size_invariance(self, params, coarse_grid):
-        a = ps.mc_multi(params, coarse_grid, 10, 9, [ps.Arm(UNINFORMED)], chunk_size=3)[0]
-        b = ps.mc_multi(params, coarse_grid, 10, 9, [ps.Arm(UNINFORMED)], chunk_size=10)[0]
+    def test_chunk_size_invariance(self, params, coarse_grid, monkeypatch):
+        monkeypatch.setattr(ps, "_COLUMNS", 3)
+        a = ps.mc_multi(params, coarse_grid, 10, 9, [ps.Arm(UNINFORMED)])[0]
+        monkeypatch.setattr(ps, "_COLUMNS", 10)
+        b = ps.mc_multi(params, coarse_grid, 10, 9, [ps.Arm(UNINFORMED)])[0]
         assert np.array_equal(a.utilities, b.utilities)
 
     def test_antithetic_mirrors_pairs(self, params, coarse_grid):
@@ -181,37 +183,47 @@ class TestEngineConsistency:
     def test_off_grid_times_rejected_before_any_draw(self, params, monkeypatch, time, index):
         # a time more than dt/2 outside [0, T] is an error, not snapped to an end
         grid = make_grid(1.0, 10)
+        bundle = next(ps.simulate_paths(params, grid, 1, 9))
 
         def fill(self, first, z):
             raise AssertionError("drew paths")
 
         monkeypatch.setattr(ps._SubstreamDrawer, "fill", fill)
         schedule = RateSchedule.constant(0.1, 1.0)
+        engine = [lambda: ps.mc_multi(params, grid, 10, 9, [ps.Arm()], snapshot_times=(time,))]
+        one_path = [lambda: st.value_committed(params, time, schedule, grid)]
+        if 0.0 <= time < math.inf:  # a purchase time too, checked once by the grid
+            engine.append(lambda: ps.mc_multi(params, grid, 10, 9, [ps.Arm(subscribe_at(time))]))
+            one_path.append(lambda: ps.run_strategy(params, grid, bundle, subscribe_at(time)))
         if index is not None:
             assert grid.index_of(time) == index
-            with pytest.raises(AssertionError, match="drew paths"):
-                ps.mc_multi(params, grid, 10, 9, [ps.Arm()], snapshot_times=(time,))
+            for call in engine:
+                with pytest.raises(AssertionError, match="drew paths"):
+                    call()
+            for call in one_path:
+                call()
             return
-        with pytest.raises(DomainError, match=f"time {time!r} is off the grid"):
-            ps.mc_multi(params, grid, 10, 9, [ps.Arm()], snapshot_times=(time,))
-        with pytest.raises(DomainError, match=f"time {time!r} is off the grid"):
-            st.value_committed(params, time, schedule, grid)
+        for call in engine + one_path:
+            with pytest.raises(DomainError, match=f"time {time!r} is off the grid"):
+                call()
 
     @pytest.mark.parametrize("chunk_size", [6, 8192])
-    def test_even_antithetic_paths_are_the_plain_run(self, params, coarse_grid, chunk_size):
+    def test_even_antithetic_paths_are_the_plain_run(self, params, coarse_grid, monkeypatch,
+                                                     chunk_size):
         # path 2j is keyed draw j with a + sign, stepped elementwise like plain path j
         arms = [ps.Arm(UNINFORMED), ps.Arm(INFORMED_FROM_START)]
         plain = ps.mc_multi(params, coarse_grid, 50, 9, arms, snapshot_times=(0.5, 1.0))
+        monkeypatch.setattr(ps, "_COLUMNS", chunk_size)
         mirrored = ps.mc_multi(params, coarse_grid, 100, 9, arms, antithetic=True,
-                               snapshot_times=(0.5, 1.0), chunk_size=chunk_size)
+                               snapshot_times=(0.5, 1.0))
         for a, b in zip(plain, mirrored):
             assert np.array_equal(a.exponents, b.exponents[0::2])
             for k, snap in a.snapshots.items():
                 for name, values in snap.items():
                     assert np.array_equal(values, b.snapshots[k][name][0::2]), (k, name)
 
-    # n/2 = 15 and 25 are odd; chunks of 3 and 7 columns (rounded up to 4 and 8)
-    # split inside the mirror block and where it ends
+    # n/2 = 15 and 25 are odd; chunks of 3, 7 and 8 columns split inside the
+    # mirror block and where it ends
     @pytest.mark.parametrize("n_paths", [30, 50])
     @pytest.mark.parametrize("chunk_size", [3, 7, 8, 8192])
     def test_mirrored_prefix_is_the_plain_and_the_antithetic_run(
@@ -229,20 +241,19 @@ class TestEngineConsistency:
             return integrate(p, grid, rows, y, *args)
 
         monkeypatch.setattr(ps, "_integrate", counted)
-        half = n_paths // 2
-        columns = ps._step_columns(params, coarse_grid, 9, arms, n_paths, half, times,
-                                   chunk_size)
-        assert sum(stepped) == n_paths + half
-        assert max(stepped) <= chunk_size + 1
-        pick = (lambda a: a[:n_paths], lambda a: ps._interleave(a[:half], a[n_paths:]))
-        for (exponents, snapshots), *runs in zip(columns, plain, anti):
-            assert exponents.shape == (n_paths + half,)
-            for run, part in zip(runs, pick):
-                assert part(exponents).tobytes() == run.exponents.tobytes()
-                assert snapshots.keys() == run.snapshots.keys()
-                for k, snap in run.snapshots.items():
+        monkeypatch.setattr(ps, "_COLUMNS", chunk_size)
+        got = ps._step_columns(params, coarse_grid, 9, arms, n_paths, n_paths // 2, times)
+        assert sum(stepped) == n_paths + n_paths // 2
+        assert max(stepped) <= chunk_size
+        for got_runs, want_runs in zip(got, (plain, anti)):
+            assert len(got_runs) == len(arms)
+            for run, want in zip(got_runs, want_runs):
+                assert run.antithetic == want.antithetic
+                assert run.exponents.tobytes() == want.exponents.tobytes()
+                assert run.snapshots.keys() == want.snapshots.keys()
+                for k, snap in want.snapshots.items():
                     for name, values in snap.items():
-                        assert part(snapshots[k][name]).tobytes() == values.tobytes(), (k, name)
+                        assert run.snapshots[k][name].tobytes() == values.tobytes(), (k, name)
 
     @staticmethod
     def _chunks(monkeypatch):
@@ -292,11 +303,11 @@ class TestEngineConsistency:
         seen.clear()
         split = step()
         assert seen == [(0, 256, 256), (256, 256, 256), (512, 88, 256)]
-        for (exponents, snapshots), (want, want_snapshots) in zip(split, whole):
-            assert exponents.tobytes() == want.tobytes()
-            for k, snap in want_snapshots.items():
+        for got, want in zip(split[0] + split[1], whole[0] + whole[1]):
+            assert got.exponents.tobytes() == want.exponents.tobytes()
+            for k, snap in want.snapshots.items():
                 for name, values in snap.items():
-                    assert snapshots[k][name].tobytes() == values.tobytes(), (k, name)
+                    assert got.snapshots[k][name].tobytes() == values.tobytes(), (k, name)
 
     def test_long_grid_chunk_keeps_one_key_tile(self, params, monkeypatch):
         # at 10 000 steps 32 MiB holds 209 keys; a chunk still takes _KEYS = 256
@@ -327,11 +338,6 @@ class TestEngineConsistency:
         arm = ps.Arm(INFORMED_FROM_START, charge=charge)
         with pytest.raises(DomainError, match="charge must be finite"):
             ps.mc_multi(params, coarse_grid, 10, 9, [arm])
-
-    @pytest.mark.parametrize("chunk_size", [0, -8])
-    def test_empty_chunks_rejected(self, params, coarse_grid, chunk_size):
-        with pytest.raises(DomainError, match="chunk_size must be >= 1"):
-            ps.mc_multi(params, coarse_grid, 10, 9, [ps.Arm()], chunk_size=chunk_size)
 
     def test_antithetic_requires_even_paths(self, params, coarse_grid):
         with pytest.raises(DomainError, match="n_paths must be even"):

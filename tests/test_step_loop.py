@@ -229,12 +229,14 @@ def _assert_runs_match(runs, staged, staged_ds, n_steps):
 @pytest.mark.parametrize("n_steps", [5, 70])
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("n_paths,chunk_size", [(30, 3), (30, 8), (600, 8192)])
-def test_engine_matches_staged_oracle(params, n_steps, antithetic, n_paths, chunk_size):
+def test_engine_matches_staged_oracle(params, monkeypatch, n_steps, antithetic, n_paths,
+                                      chunk_size):
     grid = make_grid(1.0, n_steps)
     arms = _arms(params)
     snapshot_times = (0.0, 0.3, 1.0)  # grid indices 0, interior and n
+    monkeypatch.setattr(ps, "_COLUMNS", chunk_size)
     runs = ps.mc_multi(params, grid, n_paths, SEED, arms, antithetic=antithetic,
-                       snapshot_times=snapshot_times, chunk_size=chunk_size)
+                       snapshot_times=snapshot_times)
     staged, staged_ds = (
         _staged_mc_multi(params, grid, n_paths, SEED, arms, antithetic, snapshot_times,
                          chunk_size, integrate_wealth)
@@ -244,11 +246,12 @@ def test_engine_matches_staged_oracle(params, n_steps, antithetic, n_paths, chun
     _assert_runs_match(runs, staged, staged_ds, n_steps)
 
 
-def test_engine_without_filter_matches_staged_oracle(params):
+def test_engine_without_filter_matches_staged_oracle(params, monkeypatch):
     # informed-only arms skip the filter; snapshots then carry no y_hat
     grid = make_grid(1.0, 40)
     arms = [ps.Arm(INFORMED_FROM_START), ps.Arm(INFORMED_FROM_START, charge=1.5)]
-    runs = ps.mc_multi(params, grid, 50, SEED, arms, snapshot_times=(0.0, 1.0), chunk_size=8)
+    monkeypatch.setattr(ps, "_COLUMNS", 8)
+    runs = ps.mc_multi(params, grid, 50, SEED, arms, snapshot_times=(0.0, 1.0))
     staged, staged_ds = (
         _staged_mc_multi(params, grid, 50, SEED, arms, False, (0.0, 1.0), 8, integrate_wealth)
         for integrate_wealth in (_integrate_wealth, _integrate_wealth_ds)

@@ -185,10 +185,7 @@ class TestTimingSolver:
             st.earliest_time(params, short, grid)
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("solve", [
-        st.earliest_time,
-        lambda p, sched, grid, tol: st.value_flexible(p, 0.0, 0.0, 0.0, sched, grid, tol),
-    ], ids=["earliest_time", "value_flexible"])
+    @pytest.mark.parametrize("solve", [st.earliest_time], ids=["earliest_time"])
     def test_unusable_tol_rejected(self, params, grid, schedules, solve, tol):
         with pytest.raises(DomainError, match="tol must be finite and >= 0"):
             solve(params, schedules["constant"], grid, tol)
@@ -348,6 +345,18 @@ class TestFlexibleValue:
                 vh = np.asarray(st.value_prepurchase(params, ts, 0.0, y_hat, sched))
                 slack = 2.0 * params.gamma * 1e-9 * np.abs(vh)
                 assert np.all(vf >= vh - slack)
+
+    @pytest.mark.parametrize("name", ["constant", "indifference", "bump"])
+    def test_window_ends_at_the_default_tau_l(self, params, grid, schedules, name):
+        # value_flexible takes no tol: its tau_l is earliest_time's at st.TOL, the
+        # default (a tol of 1e-3 moves tau_l on "constant", one of 0 on "indifference")
+        sched = schedules[name]
+        tau_l = st.earliest_time(params, sched, grid).tau_l
+        assert st.earliest_time(params, sched, grid, st.TOL).tau_l == tau_l
+        st.value_flexible(params, tau_l, 0.0, 0.0, sched, grid)
+        if tau_l < grid.t_end:
+            with pytest.raises(DomainError, match=f"latest purchase time {tau_l!r}$"):
+                st.value_flexible(params, tau_l + grid.dt, 0.0, 0.0, sched, grid)
 
     def test_rejects_time_beyond_window(self, params, grid, schedules):
         with pytest.raises(DomainError):

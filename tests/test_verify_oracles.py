@@ -191,6 +191,20 @@ class TestIndifferenceLogRatio:
         assert vo.indifference_log_ratio(params, coarse_grid, 2_000, 5) == shared
 
 
+class TestLogRatio:
+    @pytest.mark.parametrize("arm", ["informed", "uninformed"])
+    def test_nan_exponent_gives_a_nan_price(self, params, arm):
+        # max(0.0, nan) is 0.0, which would report a nan run as a zero price
+        exponents = {"informed": np.linspace(-1.0, 1.0, 8), "uninformed": np.linspace(-2.0, 0.5, 8)}
+        exponents[arm][3] = np.nan
+        c_star, half = vo._log_ratio(params, exponents["informed"], exponents["uninformed"])
+        assert math.isnan(c_star) and math.isnan(half)
+
+    def test_price_is_clamped_at_zero(self, params):
+        c_star, _ = vo._log_ratio(params, np.full(4, 1.0), np.full(4, -1.0))
+        assert c_star == 0.0 and math.copysign(1.0, c_star) == 1.0
+
+
 class TestMcReports:
     """One engine call of n keys, the first n/2 also mirrored, gives the value
     reports of a plain run of n paths and the price report of
@@ -199,7 +213,7 @@ class TestMcReports:
     @pytest.mark.parametrize("n_paths, n_steps, chunk_size, x0", [
         (1000, 50, None, 0.0),     # one chunk in every run
         (10_000, 20, None, 0.0),   # several chunks in every run
-        (30, 20, 7, 0.0),          # tiny chunks, rounded up to 8 columns with mirrors
+        (30, 20, 7, 0.0),          # tiny chunks of at most 7 columns
         (4096, 200, None, -7050.0),  # utilities past the float range: non-finite fields
     ])
     def test_equals_the_separate_runs(self, monkeypatch, n_paths, n_steps, chunk_size, x0):
@@ -208,9 +222,7 @@ class TestMcReports:
         plain = ps.mc_multi(p, grid, n_paths, seed, arms)
         c_mc, half = vo.indifference_log_ratio(p, grid, n_paths, seed)
         if chunk_size is not None:
-            engine = ps._step_columns
-            monkeypatch.setattr(ps, "_step_columns", lambda *args, **kwargs: engine(
-                *args, **kwargs, chunk_size=chunk_size))
+            monkeypatch.setattr(ps, "_COLUMNS", chunk_size)
         reports = {r.name: r for r in vo.mc_reports(p, grid, n_paths, seed)}
         for label, run in zip(("uninformed", "informed"), plain):
             est = run.estimate()
