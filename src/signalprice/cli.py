@@ -33,6 +33,7 @@ from .model_core import (
     ModelParams,
     TimeGrid,
     UNINFORMED,
+    _format_cells,
     load_config,
     make_grid,
     subscribe_at,
@@ -41,11 +42,32 @@ from .model_core import (
 from .subscription_timing import RateSchedule
 
 
+def _float_list(a: np.ndarray) -> str:
+    """The floats of a 1-D array, comma-separated as ``_to_json`` writes each.
+
+    ``_format_cells`` formats them all in one ``%``; only whole-number and
+    non-finite floats, the ones that may need a ``.0`` or a null, are
+    formatted again one by one.
+    """
+    cells = _format_cells(a)
+    for i in np.flatnonzero(~np.isfinite(a) | (a == np.trunc(a))).tolist():
+        cells[i] = _to_json(a[i])
+    return ", ".join(cells)
+
+
+def _is_float_list(obj) -> bool:
+    if isinstance(obj, np.ndarray):
+        return obj.ndim == 1 and obj.dtype.kind == "f"
+    return all(issubclass(kind, (float, np.floating)) for kind in set(map(type, obj)))
+
+
 def _to_json(obj) -> str:
     """JSON text with floats at 17 significant digits, stable key order.
 
     A float always carries a ``.`` or an exponent, so it reads back as a
     float; JSON has no inf or nan, so non-finite floats are written as null.
+    A list, tuple or 1-D array of floats alone is formatted in one pass
+    (``_float_list``), with the same text as float by float.
     """
     if type(obj) is float or isinstance(obj, np.floating):  # most elements are floats
         text = format(float(obj), ".17g") if math.isfinite(obj) else "null"
@@ -54,6 +76,8 @@ def _to_json(obj) -> str:
         items = ", ".join(f'"{k}": {_to_json(v)}' for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
+        if _is_float_list(obj):
+            return "[" + _float_list(np.asarray(obj, dtype=float)) + "]"
         return "[" + ", ".join(_to_json(v) for v in obj) + "]"
     if isinstance(obj, bool) or obj is None:
         return {True: "true", False: "false", None: "null"}[obj]
@@ -103,7 +127,11 @@ def cmd_price(cfg: RunConfig, mode: str) -> int:
 
 
 def cmd_rates(cfg: RunConfig, n_points: int) -> int:
-    """Rate curves CSV plus a two-column schedule file that feeds back in."""
+    """Rate curves CSV plus a two-column schedule file that feeds back in.
+
+    Each value is formatted once: the schedule file is the first two columns
+    of ``rates.csv``, cell for cell, and the flat c_bar column repeats one cell.
+    """
     if n_points < 2:
         raise DomainError(f"--points must be >= 2, got {n_points}")
     p = cfg.params
@@ -111,13 +139,16 @@ def cmd_rates(cfg: RunConfig, n_points: int) -> int:
     c_hat_t = np.asarray(subscription_timing.indifference_rate(p, t))
     ell_t = np.asarray(subscription_timing.ell(p, t))
     c_bar = closed_form.continuous_price(p).c_bar
+    t_cells, c_hat_cells = _format_cells(t), _format_cells(c_hat_t)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     rates_path = os.path.join(cfg.out_dir, "rates.csv")
-    write_csv(rates_path, "t,c_hat_t,c_bar,ell_t", [t, c_hat_t, [c_bar] * n_points, ell_t])
+    write_csv(rates_path, "t,c_hat_t,c_bar,ell_t",
+              [t_cells, c_hat_cells, _format_cells([c_bar]) * n_points, _format_cells(ell_t)])
 
     schedule_path = os.path.join(cfg.out_dir, "c_hat_schedule.csv")
-    RateSchedule(t, c_hat_t).to_csv(schedule_path)
+    RateSchedule(t, c_hat_t)  # raises unless the schedule file reads back
+    write_csv(schedule_path, "t,c", [t_cells, c_hat_cells])
     print(_to_json({"rates_csv": rates_path, "schedule_csv": schedule_path}))
     return 0
 
@@ -148,17 +179,20 @@ def cmd_simulate(
     if schedule is not None and dump_paths:
         schedule.require_cover(0.0, grid.t_end)  # before the estimate: v_flexible reads [0, T]
 
-    est = path_sim.mc_multi(
-        p, grid, cfg.mc.n_paths, cfg.mc.seed, [arms[mode_name]], antithetic=antithetic,
-    )[0].estimate()
     # closed-form t = 0 value of the simulated strategy; in subscribe mode, the
-    # committed purchase at the grid point nearest t*
+    # committed purchase at the grid point nearest t*, whose profile checks the
+    # schedule before any path is drawn.  The engine's step bound comes first:
+    # the profile allocates several arrays of n_steps floats.
+    path_sim._check_steps(grid)
     if mode_name == "uninformed":
         closed = float(closed_form.value_uninformed(p, 0.0, p.x0, p.y0))
     elif mode_name == "informed":
         closed = float(closed_form.value_informed(p, 0.0, p.x0, p.y0, charge))
     else:
         closed = subscription_timing.value_committed(p, t_star, schedule, grid)
+    est = path_sim.mc_multi(
+        p, grid, cfg.mc.n_paths, cfg.mc.seed, [arms[mode_name]], antithetic=antithetic,
+    )[0].estimate()
     z = path_sim.z_score(est.mean, est.std_err, closed)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -210,7 +244,7 @@ def cmd_subscribe(cfg: RunConfig, schedule: RateSchedule, tol: float) -> int:
     print(_to_json({
         "tau_e": result.tau_e,
         "tau_l": result.tau_l,
-        "indifference_set": list(result.indifference_set),
+        "indifference_set": result.indifference_set,
         "tol": result.tol,
         "grid_dt": cfg.grid.dt,
     }))

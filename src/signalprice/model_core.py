@@ -208,18 +208,33 @@ def load_config(path: str) -> tuple[ModelParams, TimeGrid, McSettings]:
         return parse_config(fh.read())
 
 
+def _format_cells(column) -> list[str]:
+    """The cells ``write_csv`` writes for a column of numbers, all formatted
+    by one ``%`` at 17 significant digits."""
+    values = np.asarray(column).tolist()
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def _is_cells(column) -> bool:
+    return isinstance(column, list) and bool(column) and type(column[0]) is str
+
+
 def write_csv(path, header: str, columns) -> None:
     """CSV of ``columns`` under a ``header`` line, numbers at 17 significant
     digits (they round-trip); shorter columns end in empty cells.
 
-    Each row where every column has a value is one ``%`` of the row template
-    ``"%.17g,...,%.17g\\n"``; only the rows past the shortest column are
-    formatted cell by cell."""
+    A column is numbers, or a list of ``str`` cells that ``_format_cells``
+    made, so that a column written to two files is formatted once.  Each row
+    where every column has a value is one ``%`` of the row template, ``%.17g``
+    for a column of numbers and ``%s`` for one of cells; only the rows past
+    the shortest column are formatted cell by cell."""
+    is_cells = list(map(_is_cells, columns))
     # Python floats format faster than numpy scalars, and give the same text
-    cols = [np.asarray(col).tolist() for col in columns]
+    cols = [col if cells else np.asarray(col).tolist() for col, cells in zip(columns, is_cells)]
     full = min(map(len, cols))
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    tail = [[format(v, ".17g") for v in col[full:]] for col in cols]
+    row = ",".join(["%s" if cells else "%.17g" for cells in is_cells]) + "\n"
+    tail = [col[full:] if cells else [format(v, ".17g") for v in col[full:]]
+            for col, cells in zip(cols, is_cells)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n" + "".join([row % values for values in zip(*cols)]))
         for cells in itertools.zip_longest(*tail, fillvalue=""):

@@ -431,6 +431,13 @@ def mc_multi(
     return paired if antithetic else plain
 
 
+def _check_steps(grid: TimeGrid) -> None:
+    """Raise a DomainError naming ``n_steps`` unless one path's draws fit in a chunk."""
+    if grid.n_steps > MAX_STEPS:
+        raise DomainError(f"n_steps must be at most {MAX_STEPS}, the steps whose draws for "
+                          f"one path fit in {16 * MAX_STEPS >> 20} MiB, got {grid.n_steps}")
+
+
 def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_keys: int,
                   n_mirrors: int, snapshot_times=()) -> tuple[list[McRun], list[McRun]]:
     """(plain, paired) runs, one ``McRun`` per arm each, from one engine call.
@@ -443,9 +450,7 @@ def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_
     every run of a kind.  A chunk takes whole keys, with their mirrors, up to
     ``_COLUMNS`` columns and up to the keys whose draws fit in ``_DRAW_BYTES``.
     """
-    if grid.n_steps > MAX_STEPS:
-        raise DomainError(f"n_steps must be at most {MAX_STEPS}, the steps whose draws for "
-                          f"one path fit in {16 * MAX_STEPS >> 20} MiB, got {grid.n_steps}")
+    _check_steps(grid)
     snap_idx = tuple(sorted({grid.index_of(s) for s in snapshot_times}))
     wealth = _Wealth(p, grid, arms)
     needs_filter = wealth.needs_filter

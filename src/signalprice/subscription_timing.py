@@ -25,6 +25,7 @@ purchase at t*; ``value_flexible`` adds the option to wait, and exceeds
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -105,12 +106,27 @@ class RateSchedule:
 
     @classmethod
     def from_csv(cls, path) -> "RateSchedule":
+        """Read the ``t,c`` file that ``to_csv`` writes: a header, then one
+        ``t,c`` row per line; blank lines and blanks around cells are ignored.
+
+        The body is parsed in bulk, one split and one ``map(float, ...)``.  A
+        body with a row that is not two numeric cells is parsed row by row
+        instead, so the error names the first such row.
+        """
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in map(str.strip, fh) if ln]
+            lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
         if not lines or lines[0].replace(" ", "") != "t,c":
             raise ScheduleDomainError("schedule CSV must start with header 't,c'")
+        rows = lines[1:]
+        if set(map(str.count, rows, itertools.repeat(","))) == {1}:  # one comma in every row
+            try:
+                numbers = list(map(float, ",".join(rows).split(",")))
+            except ValueError:
+                pass
+            else:
+                return cls(np.array(numbers[0::2]), np.array(numbers[1::2]))
         knots, values = [], []
-        for ln in lines[1:]:
+        for ln in rows:
             parts = ln.split(",")
             if len(parts) != 2:
                 raise ScheduleDomainError(f"schedule CSV row is not two columns: {ln!r}")
@@ -143,11 +159,22 @@ def indifference_rate(p: ModelParams, t):
 
 
 def profile(p: ModelParams, schedule: RateSchedule, grid: TimeGrid) -> np.ndarray:
-    """F(t_k) = int_0^{t_k} (c - c_bar + ell) ds by the trapezoid rule."""
+    """F(t_k) = int_0^{t_k} (c - c_bar + ell) ds by the trapezoid rule.
+
+    Raises ScheduleDomainError when F is not finite: rates near the largest
+    float overflow the sum.
+    """
     schedule.require_cover(0.0, grid.t_end)
-    g = schedule(grid.t) - continuous_price(p).c_bar + ell(p, grid.t)
-    steps = 0.5 * (g[:-1] + g[1:]) * grid.dt
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = schedule(grid.t) - continuous_price(p).c_bar + ell(p, grid.t)
+        steps = 0.5 * (g[:-1] + g[1:]) * grid.dt
+        F = np.concatenate([[0.0], np.cumsum(steps)])
+    if not np.all(np.isfinite(F)):
+        raise ScheduleDomainError(
+            f"schedule rates up to {float(np.max(schedule.values))!r} are too large: "
+            "the timing profile F is not finite"
+        )
+    return F
 
 
 def _latest_index(F: np.ndarray, tol_abs: float) -> int:
@@ -240,9 +267,13 @@ def value_committed(
     discounted by the timing profile.  Equals ``value_flexible`` at t = 0 when
     t* = tau_l and is at most that at any other t*.  The exponent is summed
     before -exp is applied, so the value is finite wherever the sum is at
-    most ~709.78, and -inf beyond.
+    most ~709.78, and -inf beyond.  The value depends on the rate over
+    [t*, T] only, so a schedule that does not cover that span raises an error
+    that names it, as the engine's subscribe arm does.
     """
-    f_star = profile(p, schedule, grid)[grid.index_of(t_star)]
+    k_star = grid.index_of(t_star)
+    schedule.require_cover(grid.t[k_star], grid.t_end)
+    f_star = profile(p, schedule, grid)[k_star]
     pre0 = _prepurchase_exponent(p, 0.0, p.x0, p.y0, schedule)
     return float(utility_from_exponent(pre0 - p.gamma * f_star))
 

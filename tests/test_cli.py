@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,24 @@ class TestRates:
         assert len(got["indifference_set"]) == grid.n_steps + 1
         assert got["grid_dt"] == grid.dt
 
+    def test_files_are_pinned(self, capsys, config_file, tmp_path):
+        # digests taken while each file still formatted its own cells; the
+        # schedule file is the first two columns of rates.csv, byte for byte
+        out_dir = tmp_path / "out"
+        code, _ = run_cli(capsys, "rates", "--config", config_file, "--points", "1001",
+                          "--out", str(out_dir))
+        assert code == 0
+        rates = (out_dir / "rates.csv").read_bytes()
+        schedule = (out_dir / "c_hat_schedule.csv").read_bytes()
+        assert hashlib.sha256(rates).hexdigest() == (
+            "540bf544fd7f4c991784e66c571f81789f43370d035a70e867a684314d92eb6b"
+        )
+        assert hashlib.sha256(schedule).hexdigest() == (
+            "4acc85675ead92810af0b17776fa85e4f428a0b05a3214273a790624e29d9ef1"
+        )
+        body = b"".join(b",".join(row.split(b",")[:2]) + b"\n" for row in rates.splitlines()[1:])
+        assert schedule == b"t,c\n" + body
+
     @pytest.mark.parametrize("name", ["out\tdir", "out\ndir"])
     def test_control_characters_in_out_stay_json(self, capsys, config_file, tmp_path, name):
         out_dir = tmp_path / name
@@ -263,6 +282,61 @@ class TestSubscribe:
         got = json.loads(out)
         assert got["tau_e"] == pytest.approx(0.2, abs=1e-3)
         assert got["tau_l"] == pytest.approx(0.8, abs=1e-3)
+
+    @pytest.mark.parametrize("schedule,expected", [
+        ("c_hat", "39b55598924446e6ccb5b8d5dfd304eb4735b3baf351a9f3d9de0db2a052a349"),
+        ("flat", "e85ac9a3bb194ed6b3a8e7d24070381315234c34ea86922792fbfb1eede750e8"),
+    ])
+    def test_output_is_pinned(self, capsys, config_file, tmp_path, params, schedule,
+                              expected):
+        # the 1001-point c_hat schedule from rates, whose indifference set is
+        # the whole grid, and the flat c_bar schedule, whose set is {T/2}
+        if schedule == "c_hat":
+            code, _ = run_cli(capsys, "rates", "--config", config_file, "--points", "1001",
+                              "--out", str(tmp_path))
+            assert code == 0
+            sched = tmp_path / "c_hat_schedule.csv"
+        else:
+            sched = tmp_path / "flat.csv"
+            st.RateSchedule.constant(cf.continuous_price(params).c_bar, 1.0).to_csv(sched)
+        code, out = run_cli(capsys, "subscribe", "--config", config_file,
+                            "--schedule", str(sched))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["subscribe"],
+        ["simulate", "--mode", "subscribe", "--t-star", "0.5", "--dump-paths", "1"],
+    ])
+    def test_overflowing_schedule_exits_2_before_any_draw(self, capsys, config_file,
+                                                         tmp_path, monkeypatch, argv):
+        # a rate of 1e308 overflows the trapezoid sum of the timing profile F
+        def fill(self, first, z):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(path_sim._SubstreamDrawer, "fill", fill)
+        sched = tmp_path / "huge.csv"
+        sched.write_text("t,c\n0,1\n1,1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--config", config_file, "--schedule", str(sched),
+                         "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("error: schedule rates up to 1e+308 are too large: "
+                       "the timing profile F is not finite\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_schedule_just_below_the_overflow_works(self, capsys, config_file, tmp_path):
+        sched = tmp_path / "large.csv"
+        sched.write_text("t,c\n0,1\n1,1e307\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, "subscribe", "--config", config_file,
+                                "--schedule", str(sched))
+        assert code == 0
+        got = json.loads(out)
+        assert got["tau_e"] == got["tau_l"] == 1.0  # buy as late as possible
 
     def test_malformed_schedule_exits_2(self, config_file, tmp_path):
         sched = tmp_path / "bad.csv"
@@ -470,20 +544,32 @@ class TestSimulate:
         assert code == 2 and out == "" and err.startswith("error: ")
         assert list(out_dir.iterdir()) == []
 
-    @pytest.mark.parametrize("steps,reached", [(2_097_153, False), (2_097_152, True)])
+    @pytest.mark.parametrize("steps,reached,subscribe", [
+        pytest.param(2_097_153, False, False, id="2097153-False"),
+        pytest.param(2_097_152, True, False, id="2097152-True"),
+        # the closed-form reference runs before the estimate, and its profile
+        # builds several arrays of n_steps floats
+        pytest.param(2_097_153, False, True, id="subscribe-2097153-False"),
+        pytest.param(2_097_152, True, True, id="subscribe-2097152-True"),
+    ])
     def test_steps_past_one_path_draw_budget_exit_2(self, capsys, config_file, tmp_path,
-                                                    monkeypatch, steps, reached):
+                                                    monkeypatch, steps, reached, subscribe):
         # one path's draws at 2,097,153 steps pass 32 MiB: exit 2 before any
-        # per-step table or draw is built
+        # per-step table, draw or timing profile is built
         class Reached(Exception):
             pass
 
-        def wealth(*args):
+        def reach(*args):
             raise Reached
 
-        monkeypatch.setattr(path_sim, "_Wealth", wealth)
+        monkeypatch.setattr(path_sim, "_Wealth", reach)
+        monkeypatch.setattr(st, "profile", reach)
         argv = ["simulate", "--config", config_file, "--out", str(tmp_path / "sim"),
                 "--paths", "10", "--steps", str(steps)]
+        if subscribe:
+            (tmp_path / "sched.csv").write_text(SCHEDULE_CSV)
+            argv += ["--mode", "subscribe", "--t-star", "0.5", "--schedule",
+                     str(tmp_path / "sched.csv")]
         if reached:
             with pytest.raises(Reached):
                 main(argv)

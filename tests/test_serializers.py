@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hs
 
-from signalprice.model_core import write_csv
+from signalprice.model_core import _format_cells, write_csv
 from signalprice.cli import _to_json
 from signalprice.subscription_timing import RateSchedule, ScheduleDomainError
 
@@ -100,6 +100,21 @@ column = hs.one_of(
 def test_write_csv_matches_frozen_writer(tmp_path, columns):
     header = ",".join(f"c{i}" for i in range(len(columns)))
     write_csv(tmp_path / "new.csv", header, columns)
+    _frozen_write_csv(tmp_path / "old.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=hs.lists(column, min_size=1, max_size=6),
+       formatted=hs.lists(hs.booleans(), min_size=6, max_size=6))
+def test_write_csv_of_formatted_cells_matches_frozen_writer(tmp_path, columns, formatted):
+    # any column may come as the cells _format_cells made of it
+    cells = [_format_cells(col) if pick else col for col, pick in zip(columns, formatted)]
+    for col in columns:
+        assert _format_cells(col) == [format(v, ".17g") for v in np.asarray(col).tolist()]
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    write_csv(tmp_path / "new.csv", header, cells)
     _frozen_write_csv(tmp_path / "old.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -236,4 +251,95 @@ rows = hs.one_of(
 def test_from_csv_matches_frozen_reader_on_generated_files(tmp_path, header, body, newline):
     path = tmp_path / "schedule.csv"
     path.write_bytes(newline.join([header, "0,1", *body]).encode())
+    assert _outcome(RateSchedule.from_csv, path) == _outcome(_frozen_from_csv, path)
+
+
+# --- whole float lists and 1001-row schedules, against the same frozen copies ---
+
+def _frozen_json_list(values) -> str:
+    """The frozen writer's list, float by float, with the ``.0`` fix applied."""
+    def token(v):
+        text = _frozen_to_json(v)
+        return text + ".0" if WHOLE_NUMBER.fullmatch(text) else text
+    return "[" + ", ".join(token(v) for v in values) + "]"
+
+
+LIST_SPECIALS = [0.0, -0.0, 1e16, -1e16, 99999999999999984.0, 1e17, 5e-324, -5e-324,
+                 math.nan, math.inf, -math.inf, 0.1, 2.5, -3.0, 1e308]
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 1001, 5000])
+def test_to_json_float_lists_match_the_frozen_writer_float_by_float(n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    values[: min(n, len(LIST_SPECIALS))] = LIST_SPECIALS[:n]
+    rng.shuffle(values)
+    expected = _frozen_json_list(values.tolist())
+    assert _to_json(values) == expected                              # float64 array
+    assert _to_json(values.tolist()) == expected                     # list of floats
+    assert _to_json(tuple(values.tolist())) == expected              # tuple of floats
+    assert _to_json(list(values)) == expected                        # list of np.float64
+    assert _to_json({"x": values, "n": n}) == f'{{"x": {expected}, "n": {n}}}'
+
+
+def test_to_json_float_list_one_pass_keeps_every_type_rule():
+    # float32 elements and arrays print their float64 value, like the scalar path
+    halves = np.array([0.1, -0.0, 3.0, np.inf], dtype=np.float32)
+    assert _to_json(halves) == _frozen_json_list(halves.tolist())
+    assert _to_json([np.float32(0.1), 2.0]) == _to_json([float(np.float32(0.1)), 2.0])
+    # a list with any non-float keeps each element's own type
+    assert _to_json([1.0, 2, True, None]) == "[1.0, 2, true, null]"
+    assert _to_json(np.array([[1.0, 0.5], [-0.0, np.nan]])) == "[[1.0, 0.5], [-0.0, null]]"
+    assert _to_json(np.arange(3)) == "[0, 1, 2]"
+    assert _to_json([]) == "[]" and _to_json(np.array([])) == "[]"
+
+
+def _schedule_text(n):
+    t = np.linspace(0.0, 1.0, n)
+    return ["t,c"] + [f"{a!r},{b!r}" for a, b in zip(t.tolist(), (0.5 + t).tolist())]
+
+
+@pytest.mark.parametrize("where", [1, 500, 1001])
+@pytest.mark.parametrize("bad", [
+    "0.5,0.2,9",        # three columns
+    "0.5",              # one column
+    "0.5,x",            # not numeric
+    "0.5,",             # empty cell
+    "0.5;0.2",          # wrong separator
+])
+def test_from_csv_names_the_frozen_readers_bad_row_in_a_long_file(tmp_path, where, bad):
+    lines = _schedule_text(1001)
+    lines[where] = bad
+    path = tmp_path / "schedule.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got, frozen = _outcome(RateSchedule.from_csv, path), _outcome(_frozen_from_csv, path)
+    assert got[0] == "error" and got == frozen
+
+
+def test_from_csv_rows_of_three_and_one_cell_do_not_pair_up(tmp_path):
+    # together the two rows hold four cells, so only a per-row count finds them
+    lines = _schedule_text(1001)
+    lines[10], lines[20] = "0.1,1,0.2", "2"
+    path = tmp_path / "schedule.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert _outcome(RateSchedule.from_csv, path) == (
+        "error", "schedule CSV row is not two columns: '0.1,1,0.2'")
+    assert _outcome(RateSchedule.from_csv, path) == _outcome(_frozen_from_csv, path)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_from_csv_reads_back_what_to_csv_wrote_bit_for_bit(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 1200))
+    steps = rng.random(n - 1) * 10.0 ** rng.integers(-300, 3, n - 1)
+    knots = np.concatenate([[0.0], np.cumsum(steps)])
+    knots = knots[np.concatenate([[True], np.diff(knots) > 0.0])]  # strictly increasing
+    rates = rng.random(knots.size) * 10.0 ** rng.integers(-320, 308, knots.size)
+    rates[rng.random(knots.size) < 0.05] = 0.0
+    schedule = RateSchedule(knots, rates)
+    path = tmp_path / "schedule.csv"
+    schedule.to_csv(path)
+    back = RateSchedule.from_csv(path)
+    assert [v.hex() for v in back.knots.tolist()] == [v.hex() for v in schedule.knots.tolist()]
+    assert [v.hex() for v in back.values.tolist()] == [v.hex() for v in schedule.values.tolist()]
     assert _outcome(RateSchedule.from_csv, path) == _outcome(_frozen_from_csv, path)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -198,13 +199,40 @@ class TestTimingSolver:
          "[0.25, 1.0]"),
         (lambda p, grid, sched: st.profile(p, sched, grid), "[0.0, 1.0]"),
         (lambda p, grid, sched: st.earliest_time(p, sched, grid), "[0.0, 1.0]"),
-    ], ids=["mc_multi", "run_strategy", "profile", "earliest_time"])
+        (lambda p, grid, sched: st.value_committed(p, 0.25, sched, grid), "[0.25, 1.0]"),
+    ], ids=["mc_multi", "run_strategy", "profile", "earliest_time", "value_committed"])
     def test_short_schedule_is_a_domain_error(self, params, coarse_grid, call, cover):
         # the message prints plain floats, not numpy scalar reprs
         short = RateSchedule(np.array([0.0, 0.5]), np.array([1.0, 1.0]))
         with pytest.raises(DomainError) as info:
             call(params, coarse_grid, short)
         assert str(info.value) == f"schedule domain [0.0, 0.5] does not cover {cover}"
+
+    @pytest.mark.parametrize("call", [
+        lambda p, grid, sched: st.profile(p, sched, grid),
+        lambda p, grid, sched: st.earliest_time(p, sched, grid),
+        lambda p, grid, sched: st.value_committed(p, 0.5, sched, grid),
+        lambda p, grid, sched: st.value_flexible(p, 0.0, 0.0, 0.0, sched, grid),
+    ], ids=["profile", "earliest_time", "value_committed", "value_flexible"])
+    def test_overflowing_profile_is_a_domain_error(self, params, coarse_grid, call):
+        # the trapezoid sum 0.5 (g_k + g_k+1) dt overflows at a rate of 1e308
+        huge = RateSchedule(np.array([0.0, 1.0]), np.array([1.0, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(st.ScheduleDomainError) as info:
+                call(params, coarse_grid, huge)
+        assert str(info.value) == (
+            "schedule rates up to 1e+308 are too large: the timing profile F is not finite"
+        )
+
+    def test_profile_is_finite_below_the_overflow(self, params, coarse_grid):
+        large = RateSchedule(np.array([0.0, 1.0]), np.array([1.0, 1e307]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = st.profile(params, large, coarse_grid)
+            result = st.earliest_time(params, large, coarse_grid)
+        assert np.all(np.isfinite(F)) and F[-1] > 1e305
+        assert result.tau_e == result.tau_l == 1.0
 
     def test_late_start_names_a_plain_float(self):
         with pytest.raises(DomainError) as info:
