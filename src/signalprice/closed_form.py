@@ -159,6 +159,14 @@ def uninformed_strategy(p: ModelParams, t, y_hat_t):
 
 # --- value functions ---
 
+def _value(p: ModelParams, coeff_a, coeff_b, t, x, y_t):
+    """-exp{-gamma x + A(t)(mu+y)^2 + B(t)} for the coefficient functions A and B."""
+    y = np.asarray(y_t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge signal gives -0.0 or nan
+        exponent = -p.gamma * x + coeff_a(p, t) * (p.mu + y) ** 2 + coeff_b(p, t)
+    return utility_from_exponent(exponent)
+
+
 def value_informed(p: ModelParams, t, x_t, y_t, charge: float = 0.0):
     """-exp{-gamma(x - charge) + A_I(t)(mu+y)^2 + B_I(t)}.
 
@@ -166,27 +174,13 @@ def value_informed(p: ModelParams, t, x_t, y_t, charge: float = 0.0):
     and keep charge = 0 for evaluations after time 0.
     """
     x = np.asarray(x_t, dtype=float) - charge
-    y = np.asarray(y_t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge signal gives -0.0 or nan
-        exponent = (
-            -p.gamma * x
-            + coeff_a_informed(p, t) * (p.mu + y) ** 2
-            + coeff_b_informed(p, t)
-        )
-    return utility_from_exponent(exponent)
+    return _value(p, coeff_a_informed, coeff_b_informed, t, x, y_t)
 
 
 def value_uninformed(p: ModelParams, t, x_t, y_hat_t):
     """-exp{-gamma x + A_UI(t)(mu+y_hat)^2 + B_UI(t)}."""
     x = np.asarray(x_t, dtype=float)
-    y = np.asarray(y_hat_t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge signal gives -0.0 or nan
-        exponent = (
-            -p.gamma * x
-            + coeff_a_uninformed(p, t) * (p.mu + y) ** 2
-            + coeff_b_uninformed(p, t)
-        )
-    return utility_from_exponent(exponent)
+    return _value(p, coeff_a_uninformed, coeff_b_uninformed, t, x, y_hat_t)
 
 
 # --- prices ---

@@ -141,6 +141,18 @@ def _increment_rows(z: np.ndarray, dt: float, n_mirrors: int) -> Iterator[tuple]
             yield block[0, j], block[1, j]
 
 
+def _filter_gains(p: ModelParams, grid: TimeGrid) -> list:
+    """Filter gain g(t_k) of each step k < n, as floats."""
+    return signal_filter.filter_gain(p, grid.t[:-1]).tolist()
+
+
+def _position_factors(p: ModelParams, grid: TimeGrid) -> list:
+    """Deterministic part of the filtered-signal position at t_k, k < n, as floats."""
+    tk = grid.t[:-1]
+    a = noise_ratio(p)
+    return (_cosh_cosh_over_cosh(a * (p.t_end - tk), a * tk) / (p.gamma * p.sigma_z**2)).tolist()
+
+
 class _Wealth:
     """Every arm's wealth on shared paths, advanced one step at a time.
 
@@ -154,21 +166,18 @@ class _Wealth:
     """
 
     def __init__(self, p: ModelParams, grid: TimeGrid, arms: list[Arm]):
-        tk = grid.t[:-1]
         self.x0 = p.x0
         self.dt = grid.dt
         self.gs = p.gamma * p.sigma_z**2
-        a = noise_ratio(p)
-        # deterministic part of the filtered-signal position, one value per step
-        self.ufac = (_cosh_cosh_over_cosh(a * (p.t_end - tk), a * tk) / self.gs).tolist()
         self.arms = []
         for arm in arms:
             k_star, lump, rates = _resolve_charges(p, grid, arm.mode, arm.charge)
             # an arm that never subscribes gets k_star = n + 1: never informed, never charged
             self.arms.append((grid.n_steps + 1 if k_star is None else k_star, lump,
                               None if rates is None else rates.tolist()))
-        # only arms informed from the start never read the filter
+        # only arms informed from the start never read the filter or its position factors
         self.needs_filter = any(k_star > 0 for k_star, _, _ in self.arms)
+        self.ufac = _position_factors(p, grid) if self.needs_filter else None
         self.x = []
 
     def start(self, m: int | None) -> None:
@@ -205,9 +214,9 @@ def _integrate(p: ModelParams, grid: TimeGrid, rows, y, s, y_hat=None, gains=Non
     The state is floats (one path) or (m,) arrays, which are updated in place:
     a consumer copies what it keeps before asking for the next step.
     ``y_hat`` None skips the filter, else ``gains`` holds the filter gain of
-    each step; ``wealth`` advances with the same rows.  The filter step is
-    ``signal_filter.filter_path``'s recursion evaluated in the same order, so
-    the two agree bit for bit.
+    each step (``_filter_gains``); ``wealth`` advances with the same rows.  The
+    filter step is ``signal_filter.filter_path``'s recursion evaluated in the
+    same order, so the two agree bit for bit.
     """
     mu, sigma_y, sigma_z = p.mu, p.sigma_y, p.sigma_z
     dt = grid.dt
@@ -265,8 +274,7 @@ def simulate_paths(
     """Yield ``n_paths`` independent scenarios, one per (seed, index) substream."""
     drawer = _SubstreamDrawer(seed)
     sqdt = math.sqrt(grid.dt)
-    gains = signal_filter.filter_gain(p, grid.t[:-1]).tolist()
-    start = float(p.y0), float(p.s0), float(p.y0), gains
+    start = float(p.y0), float(p.s0), float(p.y0), _filter_gains(p, grid)
     for index in range(n_paths):
         by, bz = sqdt * drawer.normals(index, np.empty((2, grid.n_steps)))
         rows = zip(by.tolist(), bz.tolist())
@@ -453,10 +461,9 @@ def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_
     _check_steps(grid)
     snap_idx = tuple(sorted({grid.index_of(s) for s in snapshot_times}))
     wealth = _Wealth(p, grid, arms)
-    needs_filter = wealth.needs_filter
-    gains = signal_filter.filter_gain(p, grid.t[:-1]).tolist() if needs_filter else None
+    gains = _filter_gains(p, grid) if wealth.needs_filter else None
     new = lambda: np.empty(n_keys + n_mirrors)
-    state = {k: {"y": new(), "y_hat": new() if needs_filter else None} for k in snap_idx}
+    state = {k: {"y": new(), "y_hat": new() if wealth.needs_filter else None} for k in snap_idx}
     columns = [(new(), {k: new() for k in snap_idx}) for _ in arms]  # (exponents, x)
     max_keys = min(_COLUMNS, n_keys, max(_KEYS, _DRAW_BYTES // (16 * grid.n_steps)))
     drawer = _SubstreamDrawer(seed)
@@ -471,7 +478,7 @@ def _step_columns(p: ModelParams, grid: TimeGrid, seed: int, arms: list[Arm], n_
         m = keys + mirrored
         wealth.start(m)
         steps = _integrate(p, grid, rows, np.full(m, p.y0), np.full(m, p.s0),
-                           np.full(m, p.y0) if needs_filter else None, gains, wealth)
+                           np.full(m, p.y0) if wealth.needs_filter else None, gains, wealth)
         plus, minus = slice(first, first + keys), slice(n_keys + first, n_keys + first + mirrored)
 
         def put(out, row):

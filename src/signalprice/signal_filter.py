@@ -57,6 +57,14 @@ def filter_gain(p: ModelParams, t):
     return p.sigma_y * stable_tanh(p.sigma_y / p.sigma_z * np.asarray(t, dtype=float))
 
 
+def _price_path(grid: TimeGrid, s_path) -> np.ndarray:
+    """``s_path`` as a float array with one price per grid point along axis 0."""
+    s = np.atleast_1d(np.asarray(s_path, dtype=float))
+    if s.shape[0] != grid.t.shape[0]:
+        raise LengthMismatch(f"price path has {s.shape[0]} points, grid has {grid.t.shape[0]}")
+    return s
+
+
 def filter_path(p: ModelParams, grid: TimeGrid, s_path: np.ndarray) -> FilteredPath:
     """Filtered signal along a price path sampled on ``grid``.
 
@@ -67,15 +75,10 @@ def filter_path(p: ModelParams, grid: TimeGrid, s_path: np.ndarray) -> FilteredP
     recursion in the same order, so filtering a simulated price path
     reproduces the engine's y_hat bit for bit.
     """
-    s = np.asarray(s_path, dtype=float)
-    t = grid.t
-    if s.shape[0] != t.shape[0]:
-        raise LengthMismatch(
-            f"price path has {s.shape[0]} points, grid has {t.shape[0]}"
-        )
-    n = t.shape[0] - 1
+    s = _price_path(grid, s_path)
+    n = grid.n_steps
     dt = grid.dt
-    gains = filter_gain(p, t[:-1])
+    gains = filter_gain(p, grid.t[:-1])
     y_hat = np.empty_like(s)
     innov = np.empty((n,) + s.shape[1:], dtype=float)
     y_hat[0] = p.y0
@@ -84,7 +87,7 @@ def filter_path(p: ModelParams, grid: TimeGrid, s_path: np.ndarray) -> FilteredP
         db_hat = (ds - (p.mu + y_hat[k]) * dt) / p.sigma_z
         innov[k] = db_hat
         y_hat[k + 1] = y_hat[k] + gains[k] * db_hat
-    return FilteredPath(t=t, y_hat=y_hat, innovation_increments=innov)
+    return FilteredPath(t=grid.t, y_hat=y_hat, innovation_increments=innov)
 
 
 def hitsuda_kernel(p: ModelParams, t, u):
@@ -107,11 +110,7 @@ def kalman_oracle(p: ModelParams, grid: TimeGrid, s_path: np.ndarray) -> Filtere
     Gains are per observation on the raw increment.  ``s_path`` may be a
     single path (n+1,) or a time-major batch (n+1, m).
     """
-    s = np.asarray(s_path, dtype=float)
-    if s.shape[0] != grid.t.shape[0]:
-        raise LengthMismatch(
-            f"price path has {s.shape[0]} points, grid has {grid.t.shape[0]}"
-        )
+    s = _price_path(grid, s_path)
     n = grid.n_steps
     dt = grid.dt
     r_obs = p.sigma_z**2 * dt

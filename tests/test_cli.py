@@ -563,6 +563,8 @@ class TestSimulate:
             raise Reached
 
         monkeypatch.setattr(path_sim, "_Wealth", reach)
+        monkeypatch.setattr(path_sim, "_filter_gains", reach)
+        monkeypatch.setattr(path_sim, "_position_factors", reach)
         monkeypatch.setattr(st, "profile", reach)
         argv = ["simulate", "--config", config_file, "--out", str(tmp_path / "sim"),
                 "--paths", "10", "--steps", str(steps)]

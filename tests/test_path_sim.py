@@ -12,6 +12,7 @@ from signalprice import (
 )
 from signalprice import closed_form as cf
 from signalprice import path_sim as ps
+from signalprice import signal_filter as sf
 from signalprice import subscription_timing as st
 from signalprice.subscription_timing import RateSchedule, ScheduleDomainError
 
@@ -365,6 +366,48 @@ class TestEngineConsistency:
         top, zero = (ps.mc_multi(params, coarse_grid, 2, seed, [ps.Arm()])[0].utilities
                      for seed in (2**64 - 1, 0))
         assert not np.array_equal(top, zero)
+
+
+def _count_row_builds(monkeypatch) -> dict:
+    """Count the calls that build the filter gains and the position factors."""
+    calls = {"filter_gain": 0, "_cosh_cosh_over_cosh": 0}
+    for module, name in ((sf, "filter_gain"), (ps, "_cosh_cosh_over_cosh")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestStepRows:
+    """Each call builds the filter gains and the filtered-signal position
+    factors of its (p, grid) at most once, and only the rows it reads."""
+
+    @pytest.mark.parametrize("modes, gains, factors", [
+        ([UNINFORMED, INFORMED_FROM_START, subscribe_at(0.5)], 1, 1),
+        ([INFORMED_FROM_START], 0, 0),  # no arm reads the filter
+    ])
+    def test_engine(self, params, coarse_grid, monkeypatch, modes, gains, factors):
+        calls = _count_row_builds(monkeypatch)
+        ps.mc_multi(params, coarse_grid, 8, 9, [ps.Arm(mode, 0.3) for mode in modes],
+                    snapshot_times=(0.5,))
+        assert calls == {"filter_gain": gains, "_cosh_cosh_over_cosh": factors}
+
+    def test_one_path_draws_build_only_the_gains(self, params, coarse_grid, monkeypatch):
+        calls = _count_row_builds(monkeypatch)
+        assert len(list(ps.simulate_paths(params, coarse_grid, 4, 9))) == 4
+        assert calls == {"filter_gain": 1, "_cosh_cosh_over_cosh": 0}
+
+    @pytest.mark.parametrize("mode, factors", [
+        (UNINFORMED, 1), (subscribe_at(0.5), 1), (INFORMED_FROM_START, 0),
+    ])
+    def test_strategy_builds_only_the_position_factors(self, params, coarse_grid,
+                                                        monkeypatch, mode, factors):
+        bundle = next(ps.simulate_paths(params, coarse_grid, 1, 9))
+        calls = _count_row_builds(monkeypatch)
+        ps.run_strategy(params, coarse_grid, bundle, mode, 0.3)
+        assert calls == {"filter_gain": 0, "_cosh_cosh_over_cosh": factors}
 
 
 class TestExpectedUtility:

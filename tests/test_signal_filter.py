@@ -54,6 +54,12 @@ class TestFilterPath:
         with pytest.raises(DomainError, match="^price path has 17 points, grid has 101$"):
             filter_fn(params, coarse_grid, np.zeros(17))
 
+    @pytest.mark.parametrize("filter_fn", [sf.filter_path, sf.kalman_oracle])
+    def test_a_single_price_is_a_length_mismatch(self, params, coarse_grid, filter_fn):
+        # a 0-d price has no axis 0 to index: one point, not an IndexError
+        with pytest.raises(LengthMismatch, match="^price path has 1 points, grid has 101$"):
+            filter_fn(params, coarse_grid, 10.0)
+
 
 class TestExplicitFilterRange:
     """The stable range of the explicit filter step, as the README states it.
