@@ -8,9 +8,9 @@ module takes them as valid and never re-checks or mutates them.
 
 from __future__ import annotations
 
-import configparser
 import itertools
 import math
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -155,6 +155,7 @@ _CONFIG_SCHEMA = {
     "horizon": ("t_end", "steps"),
     "mc": ("paths", "seed"),
 }
+_LINE = re.compile(r"\[(.+)\]|([^=:]+)[=:](.*)|")  # [section], key = value, or neither
 
 
 def _require_names(where: str, kind: str, got, want) -> None:
@@ -168,19 +169,36 @@ def _require_names(where: str, kind: str, got, want) -> None:
 
 
 def parse_config(text: str) -> tuple[ModelParams, TimeGrid, McSettings]:
-    """Parse an INI-style run configuration; see ``_CONFIG_SCHEMA``."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise DomainError(f"malformed config: {exc}") from exc
+    """Parse a run configuration (``_CONFIG_SCHEMA``) in one pass over its lines:
+    ``[section]`` headers, text after the ``]`` ignored; ``key = value`` or
+    ``key: value`` lines, split at the first delimiter, key lower-cased; lines
+    indented deeper than their key continue its value; blank and ``#``/``;``
+    lines skipped; no inline comments."""
+    sections: dict[str, dict[str, str]] = {}
+    entries = last = indent = None  # the current section, its last key, that key's indent
+    for lineno, line in enumerate(text.split("\n"), 1):
+        value, depth = line.strip(), len(line) - len(line.lstrip())
+        if value[:1] in "#;":  # a comment, or a blank line ("" is in every string)
+            continue
+        if last is not None and depth > indent:
+            entries[last] += "\n" + value
+            continue
+        (name, key, raw), indent, last = _LINE.match(value).groups(), depth, None
+        if name and name not in sections:
+            entries = sections[name] = {}
+        elif key and entries is not None and (key := key.rstrip().lower()) not in entries:
+            entries[key], last = raw.strip(), key
+        else:
+            problem = ("duplicate section" if name else "not [section] or key = value" if not key
+                       else "key outside any section" if entries is None else "duplicate key")
+            raise DomainError(f"config line {lineno}: {problem}: {value!r}")
 
-    _require_names("config", "sections", parser.sections(), _CONFIG_SCHEMA)
+    _require_names("config", "sections", sections, _CONFIG_SCHEMA)
     values: dict[str, float] = {}  # key names are unique across sections
     for section, keys in _CONFIG_SCHEMA.items():
-        _require_names(f"config [{section}]", "keys", parser[section], keys)
+        _require_names(f"config [{section}]", "keys", sections[section], keys)
         for key in keys:
-            raw = parser[section][key]
+            raw = sections[section][key]
             try:
                 values[key] = float(raw)
             except ValueError as exc:
@@ -189,7 +207,10 @@ def parse_config(text: str) -> tuple[ModelParams, TimeGrid, McSettings]:
                 ) from exc
 
     def as_int(section: str, key: str) -> int:
-        v = values[key]
+        try:
+            return int(sections[section][key])  # exact, where float rounds above 2**53
+        except ValueError:
+            v = values[key]
         if not math.isfinite(v) or v != int(v):
             raise DomainError(f"config [{section}] {key}: must be an integer, got {v!r}")
         return int(v)

@@ -20,6 +20,7 @@ implementation under test:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -241,7 +242,7 @@ def ode_oracle(p: ModelParams, grid: TimeGrid) -> dict[str, float]:
         a_i = a_i + sixth * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
         a_ui = a_ui + sixth * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4)
         rows.append((a_i, b_i, a_ui, b_ui))
-    states = np.array(rows[::-1])
+    states = np.fromiter(itertools.chain.from_iterable(rows), float).reshape(-1, 4)[::-1]
 
     closed = np.column_stack([
         closed_form.coeff_a_informed(p, grid.t),

@@ -111,6 +111,18 @@ def test_verify_does_not_import_mpmath(config_file):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_cli_does_not_import_configparser(config_file):
+    # the run config has its own one-pass reader
+    done = _python(
+        "import sys\n"
+        "from signalprice.cli import main\n"
+        f"main(['price', '--config', {config_file!r}])\n"
+        "print('configparser' in sys.modules)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def _files(directory):
     if not directory.is_dir():
         return {}
@@ -415,6 +427,20 @@ class TestSimulate:
             digest.update(path.name.encode() + b"\n" + path.read_bytes())
         assert digest.hexdigest() == expected
 
+    def test_config_seed_is_read_exactly(self, capsys, tmp_path):
+        # through a float, seed 2**53 + 1 ran as 2**53 and 2**64 - 1 as 2**64
+        def run(seed, *flags):
+            path = tmp_path / "seed.ini"
+            path.write_text(CONFIG.replace("seed = 12", f"seed = {seed}"))
+            code, out = run_cli(capsys, "simulate", "--config", str(path), "--mode",
+                                "uninformed", "--paths", "64", "--steps", "20",
+                                "--dump-paths", "0", "--out", str(tmp_path / "out"), *flags)
+            assert code == 0
+            return out
+
+        assert run(2**64 - 1) == run(12, "--seed", str(2**64 - 1))
+        assert run(2**53) != run(2**53 + 1)
+
     def test_subscribe_mode(self, capsys, config_file, tmp_path, params, grid):
         sched = tmp_path / "bump.csv"
         st.bumped_schedule(params, grid, 0.2, 0.8, 2.0, 2.0).to_csv(sched)
@@ -598,6 +624,22 @@ class TestErrorMessages:
         sched.write_text("t,c\n" + rows)
         code = main([*argv, "--config", config_file, "--schedule", str(sched),
                      "--steps", "100", "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == line + "\n"
+
+    @pytest.mark.parametrize("text,line", [
+        ("mu = 0.05\n" + CONFIG, "error: config line 1: key outside any section: 'mu = 0.05'"),
+        (CONFIG.replace("x0 = 0.0", "x0 0.0"),
+         "error: config line 10: not [section] or key = value: 'x0 0.0'"),
+        (CONFIG.replace("seed = 12", "seed = 12\nSEED = 13"),
+         "error: config line 19: duplicate key: 'SEED = 13'"),
+        (CONFIG + "[mc]\n", "error: config line 19: duplicate section: '[mc]'"),
+    ], ids=["key_before_section", "no_delimiter", "duplicate_key", "duplicate_section"])
+    def test_malformed_config_line_is_named(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        code = main(["price", "--config", str(path)])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == line + "\n"
