@@ -55,19 +55,13 @@ def _float_list(a: np.ndarray) -> str:
     return ", ".join(cells)
 
 
-def _is_float_list(obj) -> bool:
-    if isinstance(obj, np.ndarray):
-        return obj.ndim == 1 and obj.dtype.kind == "f"
-    return all(issubclass(kind, (float, np.floating)) for kind in set(map(type, obj)))
-
-
 def _to_json(obj) -> str:
     """JSON text with floats at 17 significant digits, stable key order.
 
     A float always carries a ``.`` or an exponent, so it reads back as a
     float; JSON has no inf or nan, so non-finite floats are written as null.
-    A list, tuple or 1-D array of floats alone is formatted in one pass
-    (``_float_list``), with the same text as float by float.
+    A 1-D float array is formatted in one pass (``_float_list``), with the
+    same text as float by float.
     """
     if type(obj) is float or isinstance(obj, np.floating):  # most elements are floats
         text = format(float(obj), ".17g") if math.isfinite(obj) else "null"
@@ -75,9 +69,9 @@ def _to_json(obj) -> str:
     if isinstance(obj, dict):
         items = ", ".join(f'"{k}": {_to_json(v)}' for k, v in obj.items())
         return "{" + items + "}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        return "[" + _float_list(np.asarray(obj, dtype=float)) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        if _is_float_list(obj):
-            return "[" + _float_list(np.asarray(obj, dtype=float)) + "]"
         return "[" + ", ".join(_to_json(v) for v in obj) + "]"
     if isinstance(obj, bool) or obj is None:
         return {True: "true", False: "false", None: "null"}[obj]
@@ -176,14 +170,16 @@ def cmd_simulate(
         if schedule is None or t_star is None:
             raise DomainError("simulate --mode subscribe needs --schedule and --t-star")
         arms["subscribe"] = path_sim.Arm(subscribe_at(t_star), schedule)
-    if schedule is not None and dump_paths:
-        schedule.require_cover(0.0, grid.t_end)  # before the estimate: v_flexible reads [0, T]
 
-    # closed-form t = 0 value of the simulated strategy; in subscribe mode, the
-    # committed purchase at the grid point nearest t*, whose profile checks the
-    # schedule before any path is drawn.  The engine's step bound comes first:
-    # the profile allocates several arrays of n_steps floats.
+    # Every timing profile checks the schedule before any path is drawn; the
+    # engine's step bound comes first, as a profile allocates several arrays of
+    # n_steps floats.  The value files' v_flexible rows run up to tau_l, and
+    # the closed form is the t = 0 value of the simulated strategy (in
+    # subscribe mode, the committed purchase at the grid point nearest t*).
     path_sim._check_steps(grid)
+    head = None
+    if schedule is not None and dump_paths:
+        head = slice(grid.index_of(subscription_timing.earliest_time(p, schedule, grid).tau_l) + 1)
     if mode_name == "uninformed":
         closed = float(closed_form.value_uninformed(p, 0.0, p.x0, p.y0))
     elif mode_name == "informed":
@@ -205,7 +201,7 @@ def cmd_simulate(
             os.path.join(cfg.out_dir, f"path_{index:05d}.csv"),
             grid.t, bundle.y, bundle.y_hat, bundle.s, wealth,
         )
-        _write_value_csv(cfg, index, bundle, wealth, schedule)
+        _write_value_csv(cfg, index, bundle, wealth, schedule, head)
 
     print(_to_json({
         "mc_mean": est.mean,
@@ -216,11 +212,11 @@ def cmd_simulate(
     return 0
 
 
-def _write_value_csv(cfg, index, bundle, wealth, schedule) -> None:
+def _write_value_csv(cfg, index, bundle, wealth, schedule, head) -> None:
     """Closed-form value functions along one path (value-comparison figure data).
 
-    With a schedule, the flexible value runs up to the latest purchase time
-    and its later cells are empty.
+    With a schedule, the flexible value runs over the ``head`` of the grid, up
+    to the latest purchase time, and its later cells are empty.
     """
     p, grid, y_hat = cfg.params, cfg.grid, bundle.y_hat
     columns = {
@@ -228,8 +224,6 @@ def _write_value_csv(cfg, index, bundle, wealth, schedule) -> None:
         "v_informed": closed_form.value_informed(p, grid.t, wealth["informed"], bundle.y),
     }
     if schedule is not None:
-        tau_l = subscription_timing.earliest_time(p, schedule, grid).tau_l
-        head = slice(grid.index_of(tau_l) + 1)
         columns["v_flexible"] = subscription_timing.value_flexible(
             p, grid.t[head], wealth["uninformed"][head], y_hat[head], schedule, grid,
         )

@@ -240,26 +240,24 @@ def _is_cells(column) -> bool:
     return isinstance(column, list) and bool(column) and type(column[0]) is str
 
 
+_CSV_ROWS = 4096  # rows formatted and written at a time: the text in memory is one block
+
+
 def write_csv(path, header: str, columns) -> None:
     """CSV of ``columns`` under a ``header`` line, numbers at 17 significant
     digits (they round-trip); shorter columns end in empty cells.
 
     A column is numbers, or a list of ``str`` cells that ``_format_cells``
-    made, so that a column written to two files is formatted once.  Each row
-    where every column has a value is one ``%`` of the row template, ``%.17g``
-    for a column of numbers and ``%s`` for one of cells; only the rows past
-    the shortest column are formatted cell by cell."""
-    is_cells = list(map(_is_cells, columns))
-    # Python floats format faster than numpy scalars, and give the same text
-    cols = [col if cells else np.asarray(col).tolist() for col, cells in zip(columns, is_cells)]
-    full = min(map(len, cols))
-    row = ",".join(["%s" if cells else "%.17g" for cells in is_cells]) + "\n"
-    tail = [col[full:] if cells else [format(v, ".17g") for v in col[full:]]
-            for col, cells in zip(cols, is_cells)]
+    made, so that a column written to two files is formatted once.  Each
+    block of ``_CSV_ROWS`` rows takes the cells of every column's slice,
+    formatted there by ``_format_cells`` for a column of numbers."""
+    cols = [col if _is_cells(col) else np.asarray(col) for col in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n" + "".join([row % values for values in zip(*cols)]))
-        for cells in itertools.zip_longest(*tail, fillvalue=""):
-            fh.write(",".join(cells) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, max(map(len, cols)), _CSV_ROWS):
+            block = [col[start:start + _CSV_ROWS] for col in cols]  # cells stay a list
+            cells = [col if type(col) is list else _format_cells(col) for col in block]
+            fh.write("\n".join(map(",".join, itertools.zip_longest(*cells, fillvalue=""))) + "\n")
 
 
 __all__ = [

@@ -255,6 +255,17 @@ class TestRates:
         body = b"".join(b",".join(row.split(b",")[:2]) + b"\n" for row in rates.splitlines()[1:])
         assert schedule == b"t,c\n" + body
 
+    def test_schedule_is_two_columns_of_rates_across_blocks(self, capsys, config_file, tmp_path):
+        # 10001 rows are written in three blocks of rows
+        out_dir = tmp_path / "out"
+        code, _ = run_cli(capsys, "rates", "--config", config_file, "--points", "10001",
+                          "--out", str(out_dir))
+        assert code == 0
+        rates = (out_dir / "rates.csv").read_bytes().splitlines()
+        assert len(rates) == 10002
+        body = b"".join(b",".join(row.split(b",")[:2]) + b"\n" for row in rates[1:])
+        assert (out_dir / "c_hat_schedule.csv").read_bytes() == b"t,c\n" + body
+
     @pytest.mark.parametrize("name", ["out\tdir", "out\ndir"])
     def test_control_characters_in_out_stay_json(self, capsys, config_file, tmp_path, name):
         out_dir = tmp_path / name
@@ -550,6 +561,8 @@ class TestSimulate:
         ["--antithetic", "--paths", "5"],
         ["--steps", "0"],
         ["--paths", str(10**20)],
+        ["--schedule", "{huge}", "--dump-paths", "1"],
+        ["--mode", "informed", "--schedule", "{huge}"],
     ])
     def test_bad_input_exits_2_before_any_draw(self, capsys, config_file, tmp_path,
                                               monkeypatch, argv):
@@ -561,9 +574,11 @@ class TestSimulate:
         monkeypatch.setattr(path_sim._SubstreamDrawer, "fill", fill)
         (tmp_path / "full.csv").write_text(SCHEDULE_CSV)
         (tmp_path / "short.csv").write_text("t,c\n0,0.9\n0.5,0.2\n")
+        (tmp_path / "huge.csv").write_text("t,c\n0,1e308\n1,1e308\n")  # its profile overflows
         out_dir = tmp_path / "sim"
         out_dir.mkdir()
-        files = {name: str(tmp_path / f"{name}.csv") for name in ("full", "short", "missing")}
+        files = {name: str(tmp_path / f"{name}.csv")
+                 for name in ("full", "short", "huge", "missing")}
         code = main(["simulate", "--config", config_file, "--out", str(out_dir),
                      *[arg.format(**files) for arg in argv]])
         out, err = capsys.readouterr()

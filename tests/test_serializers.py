@@ -14,11 +14,13 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hs
 
+from signalprice import model_core
 from signalprice.model_core import _format_cells, write_csv
 from signalprice.cli import _to_json
 from signalprice.subscription_timing import RateSchedule, ScheduleDomainError
@@ -123,6 +125,32 @@ def test_write_csv_pads_short_columns(tmp_path):
     path = tmp_path / "padded.csv"
     write_csv(path, "t,a,b", [[0.0, 0.5, 1.0], [-0.0, math.nan], [1e308]])
     assert path.read_text() == "t,a,b\n0,-0,1e+308\n0.5,nan,\n1,,\n"
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 5])
+@pytest.mark.parametrize("check", [
+    test_write_csv_matches_frozen_writer,
+    test_write_csv_of_formatted_cells_matches_frozen_writer,
+    test_write_csv_pads_short_columns,
+], ids=lambda check: check.__name__.removeprefix("test_write_csv_"))
+def test_write_csv_in_small_blocks(tmp_path, monkeypatch, check, block_rows):
+    # every generated column crosses block edges and short columns end
+    # mid-block, so a row lost, repeated or padded at an edge shows
+    monkeypatch.setattr(model_core, "_CSV_ROWS", block_rows)
+    check(tmp_path)
+
+
+def test_write_csv_holds_one_block_of_text(tmp_path):
+    # 200,000 rows of 5 columns are 19 MiB of text; only a block of it is held
+    columns = list(np.random.default_rng(0).standard_normal((5, 200_000)))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "long.csv", "a,b,c,d,e", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert (tmp_path / "long.csv").read_text().count("\n") == 200_001
 
 
 # --- _to_json ---
