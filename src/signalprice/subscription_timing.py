@@ -25,7 +25,6 @@ purchase at t*; ``value_flexible`` adds the option to wait, and exceeds
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -109,22 +108,29 @@ class RateSchedule:
         """Read the ``t,c`` file that ``to_csv`` writes: a header, then one
         ``t,c`` row per line; blank lines and blanks around cells are ignored.
 
-        The body is parsed in bulk, one split and one ``map(float, ...)``.  A
-        body with a row that is not two numeric cells is parsed row by row
-        instead, so the error names the first such row.
+        The body goes to numpy's C text reader, ``np.loadtxt``, which turns
+        each cell into a float with the routine ``float()`` ends in, so the
+        values are the same bit for bit.  A body it refuses or does not read
+        as two columns, a cell only ``float()`` takes (``1_0``, non-ASCII
+        digits) among them, is parsed row by row, so the error names the
+        first bad row.  So is a file holding an ASCII separator
+        (U+001C..U+001F): the reader takes one as a blank, ``float()`` not.
         """
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
+            text = fh.read()
+        lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
         if not lines or lines[0].replace(" ", "") != "t,c":
             raise ScheduleDomainError("schedule CSV must start with header 't,c'")
         rows = lines[1:]
-        if set(map(str.count, rows, itertools.repeat(","))) == {1}:  # one comma in every row
+        # the reader is not called on an empty body, where it would warn
+        if rows and not any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
             try:
-                numbers = list(map(float, ",".join(rows).split(",")))
+                table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
             except ValueError:
                 pass
             else:
-                return cls(np.array(numbers[0::2]), np.array(numbers[1::2]))
+                if table.shape == (len(rows), 2):
+                    return cls(*table.T.copy())
         knots, values = [], []
         for ln in rows:
             parts = ln.split(",")

@@ -26,8 +26,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
 from . import closed_form, path_sim, signal_filter
 from .model_core import (
@@ -86,6 +84,8 @@ _EPS = math.ulp(1.0)
 @functools.cache
 def _gh_standard_normal():
     """Read-only nodes/weights (z, w) with sum(w) = 1 for standard-normal expectations."""
+    from numpy.polynomial.hermite import hermgauss  # on first use: a command may need none
+
     x, w = hermgauss(_GH_NODES)
     z, w = math.sqrt(2.0) * x, w / math.sqrt(math.pi)
     z.setflags(write=False)
@@ -382,6 +382,8 @@ _KERNEL_GRADES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 @functools.cache
 def _gl_unit():
     """Read-only Gauss-Legendre nodes/weights (x, w) on [0, 1], sum(w) = 1."""
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(_GL_NODES)
     x, w = 0.5 * (x + 1.0), 0.5 * w
     x.setflags(write=False)

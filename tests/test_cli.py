@@ -123,6 +123,42 @@ def test_cli_does_not_import_configparser(config_file):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_commands_without_quadrature_do_not_import_numpy_polynomial(config_file, tmp_path):
+    # only the oracles' Gauss-Hermite and Gauss-Legendre nodes come from it
+    sched = tmp_path / "zero.csv"
+    sched.write_text("t,c\n0,0\n1,0\n")
+    commands = [["price"], ["rates", "--out", str(tmp_path / "rates")],
+                ["subscribe", "--schedule", str(sched)],
+                ["simulate", "--paths", "64", "--steps", "20", "--out", str(tmp_path / "sim")]]
+    done = _python(
+        "import contextlib, io, sys\n"
+        "from signalprice.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for args in {commands!r}:\n"
+        f"        assert main(args + ['--config', {config_file!r}]) == 0, args\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_package_imports_a_submodule_when_one_of_its_names_is_read():
+    done = _python(
+        "import sys\n"
+        "from signalprice import closed_form, model_core\n"
+        "print(sorted(m for m in sys.modules if m.startswith('signalprice.')))\n"
+        "import signalprice\n"
+        "signalprice.path_sim, signalprice.RateSchedule\n"
+        "print(sorted(m for m in sys.modules if m.startswith('signalprice.')))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "['signalprice.closed_form', 'signalprice.model_core']",
+        "['signalprice.closed_form', 'signalprice.model_core', 'signalprice.path_sim', "
+        "'signalprice.signal_filter', 'signalprice.subscription_timing']",
+    ]
+
+
 def _files(directory):
     if not directory.is_dir():
         return {}

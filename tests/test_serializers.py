@@ -257,6 +257,15 @@ def _outcome(read, path):
     "t,c\n0,1\n0.5,\n",                                     # empty cell
     "t,c\n0.5,1\n1,1\n",                                    # does not start at 0
     "t,c\n",                                                # header only
+    "t,c\n0,1,9\n1,1,9\n",                                  # every row three columns
+    "t,c\n0,1\n1_0,2\n",                                    # underscores: float() only
+    "t,c\n0,\u0661\n1,1\n",                                 # non-ASCII digit: float() only
+    "t,c\n0,#1\n1,1\n",                                     # not a comment
+    "t,c\n0,0x1p-3\n1,1\n",                                 # hex float
+    "t,c\n0,infinity\n1,+1\n",                              # spelled-out inf, plus sign
+    "t,c\n0,1e-400\n1,1\n",                                 # underflows to 0.0
+    "t,c\n0\u00a0,\u00a01\n1,1\n",                          # no-break-space pads
+    "t,c\n0\x1c,1\n1,1\n",                                  # separator pad: numpy only
 ])
 def test_from_csv_matches_frozen_reader(tmp_path, text):
     path = tmp_path / "schedule.csv"
@@ -264,8 +273,9 @@ def test_from_csv_matches_frozen_reader(tmp_path, text):
     assert _outcome(RateSchedule.from_csv, path) == _outcome(_frozen_from_csv, path)
 
 
-cells = hs.sampled_from(["0", "0.5", "1", "2.5e-1", "-0.0", "1e400", "nan", "x", ""])
-pads = hs.sampled_from(["", " ", "\t", "  "])
+cells = hs.sampled_from(["0", "0.5", "1", "2.5e-1", "-0.0", "1e400", "nan", "x", "",
+                         "1_0", "#1", "\u0661", "0x1p-3", "infinity", "+1", "1e-400"])
+pads = hs.sampled_from(["", " ", "\t", "  ", "\u00a0", "\x1c"])
 rows = hs.one_of(
     hs.tuples(pads, cells, pads, cells, pads).map(lambda r: f"{r[0]}{r[1]},{r[2]}{r[3]}{r[4]}"),
     hs.sampled_from(["", " ", "\t", "0,1,2", "t,c"]),
@@ -355,6 +365,15 @@ def test_from_csv_rows_of_three_and_one_cell_do_not_pair_up(tmp_path):
     assert _outcome(RateSchedule.from_csv, path) == _outcome(_frozen_from_csv, path)
 
 
+def _check_read_back(path, knots, rates):
+    schedule = RateSchedule(knots, rates)
+    schedule.to_csv(path)
+    back = RateSchedule.from_csv(path)
+    assert [v.hex() for v in back.knots.tolist()] == [v.hex() for v in schedule.knots.tolist()]
+    assert [v.hex() for v in back.values.tolist()] == [v.hex() for v in schedule.values.tolist()]
+    assert _outcome(RateSchedule.from_csv, path) == _outcome(_frozen_from_csv, path)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_from_csv_reads_back_what_to_csv_wrote_bit_for_bit(tmp_path, seed):
     rng = np.random.default_rng(seed)
@@ -364,10 +383,11 @@ def test_from_csv_reads_back_what_to_csv_wrote_bit_for_bit(tmp_path, seed):
     knots = knots[np.concatenate([[True], np.diff(knots) > 0.0])]  # strictly increasing
     rates = rng.random(knots.size) * 10.0 ** rng.integers(-320, 308, knots.size)
     rates[rng.random(knots.size) < 0.05] = 0.0
-    schedule = RateSchedule(knots, rates)
-    path = tmp_path / "schedule.csv"
-    schedule.to_csv(path)
-    back = RateSchedule.from_csv(path)
-    assert [v.hex() for v in back.knots.tolist()] == [v.hex() for v in schedule.knots.tolist()]
-    assert [v.hex() for v in back.values.tolist()] == [v.hex() for v in schedule.values.tolist()]
-    assert _outcome(RateSchedule.from_csv, path) == _outcome(_frozen_from_csv, path)
+    _check_read_back(tmp_path / "schedule.csv", knots, rates)
+
+
+def test_from_csv_reads_back_a_100001_row_file_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(100_001)
+    knots = np.concatenate([[0.0], np.cumsum(0.5 + rng.random(100_000))])
+    rates = rng.random(knots.size) * 10.0 ** rng.integers(-320, 308, knots.size)
+    _check_read_back(tmp_path / "schedule.csv", knots, rates)
