@@ -1,5 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# On a failing @given test, hypothesis's pytest plugin imports this module
+# inside a hook teardown; its libcst import raises a DeprecationWarning, which
+# filterwarnings = ["error"] turns into an INTERNALERROR that ends the session.
+# Imported here first, the plugin's import is a cache hit, and every failure
+# is reported.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from signalprice import ModelParams, make_grid, validate
 from signalprice import path_sim as _path_sim

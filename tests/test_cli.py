@@ -747,6 +747,22 @@ class TestVerify:
         assert main(["verify", "--config", str(path)]) == 2
         assert "sigma_z" in capsys.readouterr().err
 
+    def test_unstable_rk4_fails_as_unresolved(self, tmp_path):
+        # at sigma_y / sigma_z = 3000 RK4 overflows on every grid below the step cap
+        path = tmp_path / "unstable.ini"
+        path.write_text(CONFIG.replace("sigma_y = 0.1", "sigma_y = 3")
+                        .replace("sigma_z = 0.05", "sigma_z = 1e-3"))
+        done = _python(
+            "import sys\n"
+            "from signalprice.cli import main\n"
+            f"sys.exit(main(['verify', '--config', {str(path)!r}]))\n"
+        )
+        assert done.returncode == 1
+        assert done.stderr == ""
+        ode = [r for r in json.loads(done.stdout) if r["name"].startswith("ode_")]
+        assert len(ode) == 4
+        assert all(not r["passed"] and r["detail"].startswith("unresolved:") for r in ode)
+
     def test_zero_paths_exits_2(self, capsys, config_file):
         assert main(["verify", "--config", config_file, "--suite", "all", "--paths", "0"]) == 2
         assert "n_paths" in capsys.readouterr().err
@@ -762,19 +778,22 @@ class TestVerify:
         assert err.endswith(f", got {paths}\n")
 
     def test_all_suite_output_is_pinned(self, capsys, config_file):
-        # the determinism contract: the whole-output digest and the digest of
-        # all but the single_period_* reports were taken when each step came to
-        # pay every arm phi dS from one price increment, which moved Monte-Carlo
+        # the determinism contract: the whole-output digest, the digest of all
+        # but the single_period_* reports and the digest of the seven
+        # deterministic reports (ode_*, single_period_*, kernel_identity) were
+        # taken when the RK4 oracle came to size its own grid by step doubling,
+        # which changed the observed and detail values of the ode_* reports.
+        # The digest of the five mc_* reports and that of every report's
+        # (name, expected, tolerance, passed) were taken before that change and
+        # held across it. The mc_* reports date from when each step came to pay
+        # every arm phi dS from one price increment, which moved Monte-Carlo
         # wealth at the rounding level (relative changes of observed and
-        # tolerance at most 1.3e-15). Before that, both dated from when
-        # whole-number floats gained a ".0". The digest of the seven
-        # deterministic reports (ode_*, single_period_*, kernel_identity) was
-        # taken before that engine change, which left them unchanged
+        # tolerance at most 1.3e-15)
         code, out = run_cli(capsys, "verify", "--config", config_file, "--suite", "all",
                             "--paths", "1000", "--steps", "50", "--seed", "3")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d2cc7a03b722208773839398ea4b94284eb69046660a92a400f167778bda437a"
+            "4f6527755b699efa6be693376f27ce70d8446344a4e59c5fa975d3b0ce1bb54d"
         )
         reports = json.loads(out)
         assert _to_json(reports) + "\n" == out
@@ -782,12 +801,22 @@ class TestVerify:
         rest = [r for r in reports if not r["name"].startswith("single_period_")]
         assert len(rest) == len(reports) - 2
         assert digest(rest) == (
-            "3276715ac89720d54c30e3c50ea7a5cf802e3719834f3a423939b81f2b1a2d25"
+            "9263c3f0822a695d657e90bb5fdb1da72aab0af0d7ba3d86dcd84b9a9c7c5fb4"
         )
         deterministic = [r for r in reports if not r["name"].startswith("mc_")]
         assert len(deterministic) == 7
         assert digest(deterministic) == (
-            "df61c7b73a786e30668f94739eadcbcc1168711a10c4bb73b3a6290446f9adc3"
+            "b13035a3bc381e6f9d75b6c029d9fe12c83f65dffaf42d91aa8e3d968bf96d43"
+        )
+        monte_carlo = [r for r in reports if r["name"].startswith("mc_")]
+        assert len(monte_carlo) == 5
+        assert digest(monte_carlo) == (
+            "4b564e8f0bfc08e49ca6c6f77578aa0d764af66622787a9ec8fbb6b11a6771e3"
+        )
+        verdicts = [[r["name"], r["expected"], r["tolerance"], r["passed"]] for r in reports]
+        assert len(verdicts) == 12
+        assert digest(verdicts) == (
+            "519c843b1ee2567b8e90b381285e9b0bf0d0794ff15a6c55d72c7f823f5c16da"
         )
 
     def test_all_suite_makes_one_engine_call(self, capsys, config_file, monkeypatch):

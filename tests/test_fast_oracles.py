@@ -212,8 +212,10 @@ def _lattice(seed=71, n=11):
     return points
 
 
+UNSTABLE = dict(WORKED, sigma_y=3.0, sigma_z=1e-3)  # RK4 unstable: inf and nan errors
+
 CONFIGS = _lattice() + [
-    dict(WORKED, sigma_y=3.0, sigma_z=1e-3),  # RK4 unstable: inf and nan errors
+    UNSTABLE,
     dict(WORKED, x0=-7050.0),
     dict(WORKED, sigma_y=0.0),
     dict(WORKED, t_end=5.0, mu=-0.3, y0=0.2),
@@ -248,6 +250,36 @@ def test_ode_oracle_matches_frozen_rk4(config, n_steps):
     got = vo.ode_oracle(config, grid)
     assert list(got) == list(frozen)
     assert _bits(got.values()) == _bits(frozen.values())
+
+
+def test_worked_example_resolves_at_500_steps():
+    p = ModelParams(**WORKED)
+    grid, _, estimates = vo._doubled_rk4(p)
+    assert grid.n_steps == 500
+    assert max(estimates) <= 1e-9
+    for name in ("a_informed", "b_informed", "a_uninformed", "b_uninformed"):
+        report = fast_report(p, f"ode_{name}")
+        assert report.passed and "over 500-step grid" in report.detail, report
+
+
+@pytest.mark.parametrize("config", CRITERION_02,
+                         ids=[f"criterion02_{i}" for i in range(len(CRITERION_02))])
+def test_error_estimate_tracks_the_observed_error(config):
+    # the estimate compares RK4 only with itself; the observed error is
+    # against the closed forms
+    p = ModelParams(**config)
+    grid, states, estimates = vo._doubled_rk4(p)
+    errors = vo._closed_form_errors(p, grid, states)
+    assert np.all(estimates <= 2.0 * errors) and np.all(errors <= 2.0 * estimates)
+
+
+def test_unstable_rk4_is_unresolved():
+    # every grid below the cap overflows, so the estimates are inf or nan
+    reports = [r for r in vo.fast_reports(ModelParams(**UNSTABLE)) if r.name.startswith("ode_")]
+    assert len(reports) == 4
+    for report in reports:
+        assert not report.passed and report.detail.startswith("unresolved:"), report
+        assert "over 2000-step grid" in report.detail
 
 
 @pytest.mark.parametrize("n_lattice", [6, 20])

@@ -104,6 +104,32 @@ class TestOdeOracle:
         reports = fast_reports_named(params, "ode_")
         assert len(reports) == 4 and all(r.passed for r in reports)
 
+    # Criterion 03 and the checks above run at T = 1, where a T and a / T agree
+    @pytest.mark.parametrize("overrides", [
+        dict(t_end=0.5), dict(t_end=2.0), dict(t_end=5.0),
+        dict(t_end=5.0, mu=-0.3, y0=0.2),  # the T = 5 config of test_fast_oracles
+    ])
+    def test_report_bundle_passes_off_the_unit_horizon(self, overrides):
+        reports = fast_reports_named(make_params(**overrides), "ode_")
+        assert len(reports) == 4 and all(r.passed for r in reports), reports
+
+    @pytest.mark.parametrize("t_end", [0.5, 2.0, 5.0])
+    def test_report_catches_a_horizon_slip(self, monkeypatch, t_end):
+        # B_UI with tanh(a / T) in place of tanh(a T) in its first term
+        exact = cf.coeff_b_uninformed
+
+        def slipped(p, t):
+            a = cf.noise_ratio(p)
+            rem = p.t_end - np.asarray(t, dtype=float)
+            return exact(p, t) + p.sigma_y / (4.0 * p.sigma_z) * rem * (
+                cf.stable_tanh(a / p.t_end) - cf.stable_tanh(a * p.t_end)
+            )
+
+        monkeypatch.setattr(cf, "coeff_b_uninformed", slipped)
+        reports = {r.name: r for r in fast_reports_named(make_params(t_end=t_end), "ode_")}
+        assert not reports["ode_b_uninformed"].passed
+        assert all(r.passed for name, r in reports.items() if name != "ode_b_uninformed")
+
 
 class TestKernelOracle:
     def test_reference_residual(self, params):
