@@ -159,12 +159,58 @@ def uninformed_strategy(p: ModelParams, t, y_hat_t):
 
 # --- value functions ---
 
-def _value(p: ModelParams, coeff_a, coeff_b, t, x, y_t):
-    """-exp{-gamma x + A(t)(mu+y)^2 + B(t)} for the coefficient functions A and B."""
+def _exponent(p: ModelParams, x_t, charge, a_t, y_t, *terms):
+    """-gamma (x - charge) + a_t (mu + y)**2 + terms[0] + terms[1] ..., left to right.
+
+    ``charge`` None leaves x as it is.  Over 0-d operands this is the plain
+    numpy-scalar expression, whose ``** 2`` is pow() (see
+    ``verify_oracles._square``).  Otherwise the sum is formed in one owned
+    array of the broadcast shape, plus one for a_t (mu + y)**2, by in-place
+    ufuncs: the plain expression's operations in its operand order, so the
+    same bits from two allocations instead of one per operation, and the
+    inputs are only read.
+    """
+    x = np.asarray(x_t, dtype=float)
     y = np.asarray(y_t, dtype=float)
+    operands = (x, a_t, y, *terms) if charge is None else (x, charge, a_t, y, *terms)
+    shape = np.broadcast(*operands).shape
+    if not shape:
+        if charge is not None:
+            x = x - charge
+        out = -p.gamma * x + a_t * (p.mu + y) ** 2
+        for term in terms:
+            out = out + term
+        return out
+    out = np.empty(shape)
+    if charge is not None:
+        x = np.subtract(x, charge, out=out)
+    np.multiply(-p.gamma, x, out=out)
+    sq = np.empty(np.broadcast(a_t, y).shape)
+    if y.ndim:
+        np.square(np.add(p.mu, y, out=sq), out=sq)  # an array's ** 2
+    else:
+        sq[...] = (p.mu + y) ** 2
+    np.add(out, np.multiply(a_t, sq, out=sq), out=out)
+    for term in terms:
+        np.add(out, term, out=out)
+    return out
+
+
+def _utility_of_owned(exponent):
+    """``utility_from_exponent`` of an exponent the caller owns: an array's
+    exp and negation are written over it."""
+    if not isinstance(exponent, np.ndarray):
+        return utility_from_exponent(exponent)
+    with np.errstate(over="ignore"):
+        np.exp(exponent, out=exponent)
+    return np.negative(exponent, out=exponent)
+
+
+def _value(p: ModelParams, coeff_a, coeff_b, t, x_t, y_t, charge=None):
+    """-exp{-gamma (x - charge) + A(t)(mu+y)^2 + B(t)} for the coefficient functions A and B."""
     with np.errstate(over="ignore", invalid="ignore"):  # a huge signal gives -0.0 or nan
-        exponent = -p.gamma * x + coeff_a(p, t) * (p.mu + y) ** 2 + coeff_b(p, t)
-    return utility_from_exponent(exponent)
+        exponent = _exponent(p, x_t, charge, coeff_a(p, t), y_t, coeff_b(p, t))
+    return _utility_of_owned(exponent)
 
 
 def value_informed(p: ModelParams, t, x_t, y_t, charge: float = 0.0):
@@ -173,14 +219,12 @@ def value_informed(p: ModelParams, t, x_t, y_t, charge: float = 0.0):
     ``charge`` is the lump fee paid at time 0; pass wealth net of it instead
     and keep charge = 0 for evaluations after time 0.
     """
-    x = np.asarray(x_t, dtype=float) - charge
-    return _value(p, coeff_a_informed, coeff_b_informed, t, x, y_t)
+    return _value(p, coeff_a_informed, coeff_b_informed, t, x_t, y_t, charge)
 
 
 def value_uninformed(p: ModelParams, t, x_t, y_hat_t):
     """-exp{-gamma x + A_UI(t)(mu+y_hat)^2 + B_UI(t)}."""
-    x = np.asarray(x_t, dtype=float)
-    return _value(p, coeff_a_uninformed, coeff_b_uninformed, t, x, y_hat_t)
+    return _value(p, coeff_a_uninformed, coeff_b_uninformed, t, x_t, y_hat_t)
 
 
 # --- prices ---

@@ -42,6 +42,7 @@ and ``z_score`` the one rule for a z against a reference.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -277,8 +278,10 @@ def simulate_paths(
     start = float(p.y0), float(p.s0), float(p.y0), _filter_gains(p, grid)
     for index in range(n_paths):
         by, bz = sqdt * drawer.normals(index, np.empty((2, grid.n_steps)))
-        rows = zip(by.tolist(), bz.tolist())
-        y, s, y_hat = map(np.array, zip(*_integrate(p, grid, rows, *start)))
+        # a memoryview yields the floats of .tolist() without holding a list
+        states = _integrate(p, grid, zip(memoryview(by), memoryview(bz)), *start)
+        y, s, y_hat = np.fromiter(itertools.chain.from_iterable(states), float,
+                                  3 * (grid.n_steps + 1)).reshape(-1, 3).T.copy()
         yield PathBundle(t=grid.t, by_incr=by, bz_incr=bz, y=y, s=s, y_hat=y_hat)
 
 
@@ -325,7 +328,7 @@ def run_strategy(
     step, x = wealth.step, wealth.x
     mu, sigma_z, dt = p.mu, p.sigma_z, grid.dt
     path = [x[0]]
-    rows = zip(bundle.y.tolist(), bundle.y_hat.tolist(), bundle.bz_incr.tolist())
+    rows = zip(memoryview(bundle.y), memoryview(bundle.y_hat), memoryview(bundle.bz_incr))
     for k, (y, y_hat, bz) in enumerate(rows):
         my = mu + y
         step(k, my, mu + y_hat, my * dt + sigma_z * bz)

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import (
+    _exponent,
+    _utility_of_owned,
     coeff_a_uninformed,
     continuous_price,
     log_cosh,
@@ -242,16 +244,14 @@ def earliest_time(
 
 
 def _prepurchase_exponent(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedule):
+    """The exponent of ``value_prepurchase``, owned by the caller when an array."""
     a = noise_ratio(p)
     t = np.asarray(t, dtype=float)
     remaining_cost = schedule.integral(t, p.t_end)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge signal gives -0.0 or nan
-        return (
-            -p.gamma * np.asarray(x_t, dtype=float)
-            + coeff_a_uninformed(p, t) * (p.mu + np.asarray(y_hat_t, dtype=float)) ** 2
-            + p.gamma * remaining_cost
-            + 0.5 * (log_cosh(a * t) - log_cosh(a * p.t_end))
-        )
+        return _exponent(p, x_t, None, coeff_a_uninformed(p, t), y_hat_t,
+                         p.gamma * remaining_cost,
+                         0.5 * (log_cosh(a * t) - log_cosh(a * p.t_end)))
 
 
 def value_prepurchase(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedule):
@@ -261,7 +261,7 @@ def value_prepurchase(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedule):
     including the remaining subscription cost int_t^T c.
     """
     schedule.require_cover(float(np.min(np.asarray(t))), p.t_end)
-    return utility_from_exponent(_prepurchase_exponent(p, t, x_t, y_hat_t, schedule))
+    return _utility_of_owned(_prepurchase_exponent(p, t, x_t, y_hat_t, schedule))
 
 
 def value_committed(
@@ -304,8 +304,12 @@ def value_flexible(
     if np.any(t > tau_l + 1e-12 * max(1.0, grid.t_end)):
         raise DomainError(f"t beyond the latest purchase time {float(tau_l)!r}")
     gap = F[k_l] - np.interp(t, grid.t, F)
-    exponent = _prepurchase_exponent(p, t, x_t, y_hat_t, schedule) - p.gamma * gap
-    return utility_from_exponent(exponent)
+    exponent = _prepurchase_exponent(p, t, x_t, y_hat_t, schedule)
+    if isinstance(exponent, np.ndarray):
+        np.subtract(exponent, p.gamma * gap, out=exponent)
+    else:
+        exponent = exponent - p.gamma * gap
+    return _utility_of_owned(exponent)
 
 
 def indifference_schedule(p: ModelParams, grid: TimeGrid) -> RateSchedule:

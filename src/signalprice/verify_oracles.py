@@ -375,12 +375,16 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
     reports = []
     for label, plain, signal, value in modes:
         closed0 = float(value(0.0, p.x0, p.y0))
+        # a subnormal or zero utility leaves the means nothing to resolve
+        resolved = bool(abs(closed0) >= np.finfo(float).tiny)
+        unresolved = "" if resolved else "unresolved: the closed-form utility at t=0 underflows; "
         est = plain.estimate()
         detail = (
-            f"terminal MC utility vs closed form at t=0 ({label}); tolerance = 3 std errs "
-            f"(abs {3.0 * est.std_err:.3e}), n_paths={n_paths}, seed={seed}"
+            f"{unresolved}terminal MC utility vs closed form at t=0 ({label}); tolerance = "
+            f"3 std errs (abs {3.0 * est.std_err:.3e}), n_paths={n_paths}, seed={seed}"
         )
-        reports.append(_report(f"mc_value_{label}", est.mean, closed0, 3.0 * est.std_err, detail))
+        reports.append(_report(f"mc_value_{label}", est.mean, closed0, 3.0 * est.std_err, detail,
+                               resolved))
 
         z_scores = []
         for t_check in check_times:
@@ -391,10 +395,10 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
             z_scores.append((grid.t[idx], path_sim.z_score(mean, se, closed0)))
         worst = float(np.max(np.abs([z for _, z in z_scores])))
         detail = (
-            f"max |z| of mean value-function drift from t=0 over quartiles ({label}); "
-            + ", ".join(f"t={t:g}: z={z:+.2f}" for t, z in z_scores)
+            f"{unresolved}max |z| of mean value-function drift from t=0 over quartiles "
+            f"({label}); " + ", ".join(f"t={t:g}: z={z:+.2f}" for t, z in z_scores)
         )
-        reports.append(_report(f"mc_martingale_{label}", worst, 0.0, 3.0, detail))
+        reports.append(_report(f"mc_martingale_{label}", worst, 0.0, 3.0, detail, resolved))
 
     c_mc, half = _log_ratio(p, paired_informed.exponents, paired_uninformed.exponents)
     reports.append(_report(

@@ -61,3 +61,48 @@ def batch_paths(p, grid, n_paths, seed):
         y[k] = y_k
         s[k] = s_k
     return y, s
+
+
+def value_input_cases(mu, t_end):
+    """(label, t, x, y) inputs of every shape the value functions take.
+
+    Scalar signals are ones whose (mu + y)**2 by pow() differs from
+    (mu + y) * (mu + y) in the last bit, so that a change in how a 0-d
+    square is formed shows in the bytes.
+    """
+    rng = np.random.default_rng(2027)
+    pool = mu + 3.0 * rng.standard_normal(20000)
+    y_pow = [float(v) - mu for v in pool if np.float64(v) ** 2 != v * v][:8]
+    m, n = 513, 12
+    x_m, y_m = rng.standard_normal(m), rng.standard_normal(m)
+    t_n = np.linspace(0.0, t_end, n + 1)
+    x_n, y_n = rng.standard_normal(n + 1), rng.standard_normal(n + 1)
+    cases = []
+    for i, y in enumerate(y_pow):
+        t, x = 0.3 * t_end, 0.25 * i - 1.0
+        cases += [(f"float{i}", t, x, y),
+                  (f"0d{i}", np.array(t), np.array(x), np.array(y)),
+                  (f"scalar{i}", np.float64(t), np.float64(x), np.float64(y)),
+                  (f"t_array{i}", t_n, x, y)]
+    read_only = [a.copy() for a in (t_n, x_n, y_n, x_m, y_m)]
+    for a in read_only:
+        a.setflags(write=False)
+    cases += [
+        ("paths", 0.4 * t_end, x_m, y_m),
+        ("paths_at_horizon", t_end, x_m, y_m),
+        ("same_shape", t_n, x_n, y_n),
+        ("t_column", t_n[:, None], x_m, y_m),
+        ("x_column", 0.4 * t_end, x_n[:, None], y_m),
+        ("y_column", 0.4 * t_end, x_m, y_n[:, None]),
+        ("read_only_same_shape", *read_only[:3]),
+        ("read_only_paths", 0.4 * t_end, *read_only[3:]),
+    ]
+    return cases
+
+
+def assert_same_output(got, want):
+    """Equal type, dtype, shape and bytes."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()

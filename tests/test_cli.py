@@ -895,6 +895,25 @@ class TestNumericalRange:
             assert not reports[f"mc_martingale_{label}"]["passed"]
         assert reports["mc_indifference_price"]["passed"]
 
+    @pytest.mark.parametrize("x0", [7100, 7500])
+    def test_underflowing_checks_fail_as_unresolved(self, capsys, tmp_path, x0):
+        # gamma x0 = 710 makes the closed-form utility at t=0 subnormal and 750
+        # makes it -0.0, where every MC mean matches it without testing anything
+        code, out = run_cli(capsys, "verify", "--config", _with_x0(tmp_path, x0),
+                            "--suite", "all", "--paths", "4096", "--steps", "200")
+        reports = {r["name"]: r for r in json.loads(out)}
+        assert code == 1
+        for label in ("uninformed", "informed"):
+            for kind in ("value", "martingale"):
+                r = reports[f"mc_{kind}_{label}"]
+                assert not r["passed"], r["name"]
+                assert r["detail"].startswith(
+                    "unresolved: the closed-form utility at t=0 underflows"), r["name"]
+        assert reports["mc_indifference_price"]["passed"]
+        assert [n for n, r in reports.items() if not r["passed"]] == [
+            f"mc_{kind}_{label}" for label in ("uninformed", "informed")
+            for kind in ("value", "martingale")]
+
     def test_failed_checks_write_no_warnings(self, tmp_path):
         done = _python(
             "import sys\n"

@@ -7,6 +7,7 @@ import pytest
 from signalprice import ModelParams, validate
 from signalprice import closed_form as cf
 
+from conftest import assert_same_output, value_input_cases
 from highprec import highprec_uninformed_strategy
 
 
@@ -217,6 +218,65 @@ class TestValueFunctions:
         vi = cf.value_informed(params, 0.0, params.x0, params.y0, charge=c_hat)
         vu = cf.value_uninformed(params, 0.0, params.x0, params.y0)
         assert float(vi) == pytest.approx(float(vu), rel=1e-13)
+
+
+def _frozen_value(p, coeff_a, coeff_b, t, x, y_t):
+    """closed_form._value as one plain expression, before its exponent was
+    formed in owned buffers."""
+    y = np.asarray(y_t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = -p.gamma * x + coeff_a(p, t) * (p.mu + y) ** 2 + coeff_b(p, t)
+    return cf.utility_from_exponent(exponent)
+
+
+def _frozen_informed(p, t, x_t, y_t, charge=0.0):
+    x = np.asarray(x_t, dtype=float) - charge
+    return _frozen_value(p, cf.coeff_a_informed, cf.coeff_b_informed, t, x, y_t)
+
+
+def _frozen_uninformed(p, t, x_t, y_hat_t):
+    x = np.asarray(x_t, dtype=float)
+    return _frozen_value(p, cf.coeff_a_uninformed, cf.coeff_b_uninformed, t, x, y_hat_t)
+
+
+_VALUE_CALLS = {  # name: (value function, frozen expression), both (p, t, x, y)
+    "informed": (cf.value_informed, _frozen_informed),
+    "informed_charged": (lambda p, t, x, y: cf.value_informed(p, t, x, y, charge=0.37),
+                         lambda p, t, x, y: _frozen_informed(p, t, x, y, charge=0.37)),
+    "uninformed": (cf.value_uninformed, _frozen_uninformed),
+}
+_VALUE_CASES = value_input_cases(mu=0.05, t_end=1.0)
+
+
+class TestValueBuffers:
+    """The value functions give the plain expression's bytes, dtype and type
+    for every input shape, and only read their inputs."""
+
+    @pytest.mark.parametrize("label, t, x, y", _VALUE_CASES, ids=[c[0] for c in _VALUE_CASES])
+    @pytest.mark.parametrize("name", sorted(_VALUE_CALLS))
+    def test_matches_frozen_expression(self, name, label, t, x, y):
+        p = make_params()
+        value, frozen = _VALUE_CALLS[name]
+        before = [np.array(a) for a in (t, x, y)]
+        got = value(p, t, x, y)
+        assert_same_output(got, frozen(p, t, x, y))
+        for a, b in zip((t, x, y), before):
+            assert np.asarray(a).tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_VALUE_CALLS))
+    def test_huge_signal_matches_frozen_expression(self, name):
+        # (mu + 1e160)^2 overflows: -0.0 before the horizon, nan at it, no warning
+        p = make_params()
+        value, frozen = _VALUE_CALLS[name]
+        huge = np.full(6, 1e160)
+        for t, x, y in ((0.5, 0.0, 1e160), (1.0, 0.0, 1e160), (0.5, np.zeros(6), huge),
+                        (1.0, np.zeros(6), huge), (np.linspace(0.0, 1.0, 6), 0.0, huge)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = value(p, t, x, y)
+            assert_same_output(got, frozen(p, t, x, y))
+            t_b = np.broadcast_to(t, np.shape(got))
+            assert np.all(np.where(t_b < 1.0, np.signbit(got) & (got == 0.0), np.isnan(got)))
 
 
 class TestContinuousPrice:

@@ -12,6 +12,8 @@ from signalprice import path_sim as ps
 from signalprice import subscription_timing as st
 from signalprice.subscription_timing import RateSchedule, ScheduleDomainError
 
+from conftest import assert_same_output, value_input_cases
+
 
 def make_params(**overrides):
     base = dict(mu=0.05, sigma_y=0.1, sigma_z=0.05, gamma=0.1,
@@ -389,6 +391,88 @@ class TestFlexibleValue:
     def test_rejects_time_beyond_window(self, params, grid, schedules):
         with pytest.raises(DomainError):
             st.value_flexible(params, 0.9, 0.0, 0.0, schedules["bump"], grid)
+
+
+def _frozen_prepurchase_exponent(p, t, x_t, y_hat_t, schedule):
+    """subscription_timing._prepurchase_exponent as one plain expression,
+    before it was formed in owned buffers."""
+    a = cf.noise_ratio(p)
+    t = np.asarray(t, dtype=float)
+    remaining_cost = schedule.integral(t, p.t_end)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            -p.gamma * np.asarray(x_t, dtype=float)
+            + cf.coeff_a_uninformed(p, t) * (p.mu + np.asarray(y_hat_t, dtype=float)) ** 2
+            + p.gamma * remaining_cost
+            + 0.5 * (cf.log_cosh(a * t) - cf.log_cosh(a * p.t_end))
+        )
+
+
+def _frozen_flexible(p, t, x_t, y_hat_t, schedule, grid):
+    t = np.asarray(t, dtype=float)
+    F, k_l, _ = st._solve(p, schedule, grid, st.TOL)
+    gap = F[k_l] - np.interp(t, grid.t, F)
+    exponent = _frozen_prepurchase_exponent(p, t, x_t, y_hat_t, schedule) - p.gamma * gap
+    return cf.utility_from_exponent(exponent)
+
+
+def _buffer_calls():
+    """name: (value function, frozen expression, last t, cases); the two
+    functions take (p, t, x, y).
+
+    value_flexible takes t up to tau_l of the flat c_bar schedule, about T/2,
+    where the gap F(tau_l) - F(t) is not zero: its cases end there."""
+    p, grid = make_params(), make_grid(1.0, 1000)
+    flat = RateSchedule.constant(cf.continuous_price(p).c_bar, 1.0)
+    bump = st.bumped_schedule(p, grid, 0.2, 0.8, 2.0, 2.0)
+    tau_l = st.earliest_time(p, flat, grid).tau_l
+    return {
+        "prepurchase": (lambda p, t, x, y: st.value_prepurchase(p, t, x, y, bump),
+                        lambda p, t, x, y: cf.utility_from_exponent(
+                            _frozen_prepurchase_exponent(p, t, x, y, bump)),
+                        p.t_end, value_input_cases(p.mu, p.t_end)),
+        "flexible": (lambda p, t, x, y: st.value_flexible(p, t, x, y, flat, grid),
+                     lambda p, t, x, y: _frozen_flexible(p, t, x, y, flat, grid),
+                     tau_l, value_input_cases(p.mu, tau_l)),
+    }
+
+
+_BUFFER_CALLS = _buffer_calls()
+_BUFFER_CASES = [(name, *case) for name, (*_, cases) in sorted(_BUFFER_CALLS.items())
+                 for case in cases]
+
+
+class TestValueBuffers:
+    """value_prepurchase and value_flexible give the plain expression's bytes,
+    dtype and type for every input shape, and only read their inputs."""
+
+    @pytest.mark.parametrize("name, label, t, x, y", _BUFFER_CASES,
+                             ids=[f"{c[0]}-{c[1]}" for c in _BUFFER_CASES])
+    def test_matches_frozen_expression(self, name, label, t, x, y):
+        p = make_params()
+        value, frozen, _, _ = _BUFFER_CALLS[name]
+        before = [np.array(a) for a in (t, x, y)]
+        got = value(p, t, x, y)
+        assert_same_output(got, frozen(p, t, x, y))
+        for a, b in zip((t, x, y), before):
+            assert np.asarray(a).tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_BUFFER_CALLS))
+    def test_huge_signal_matches_frozen_expression(self, name):
+        # (mu + 1e160)^2 overflows: -0.0 before the horizon, nan at it, no warning
+        p = make_params()
+        value, frozen, t_end, _ = _BUFFER_CALLS[name]
+        huge = np.full(6, 1e160)
+        t_row = np.linspace(0.0, t_end, 6)
+        for t, x, y in ((0.5 * t_end, 0.0, 1e160), (t_end, 0.0, 1e160),
+                        (0.5 * t_end, np.zeros(6), huge), (t_end, np.zeros(6), huge),
+                        (t_row, 0.0, huge)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = value(p, t, x, y)
+            assert_same_output(got, frozen(p, t, x, y))
+            t_b = np.broadcast_to(t, np.shape(got))
+            assert np.all(np.where(t_b < 1.0, np.signbit(got) & (got == 0.0), np.isnan(got)))
 
 
 class TestCommittedValue:
