@@ -28,6 +28,10 @@ and the lump price of the feed over [0, T] is
 Hyperbolic ratios are evaluated through exp/expm1 forms whose exponents are
 all <= 0, so nothing overflows for large sigma_y*T/sigma_z.  sigma_y = 0 is
 handled by the tanh(x)/x -> 1 limit rather than an error.
+
+The value functions take t in [0, T] and inputs of any broadcast shape.  One
+routine, ``_utility``, forms the utility of every value function here and in
+``subscription_timing``, for every shape.
 """
 
 from __future__ import annotations
@@ -159,58 +163,42 @@ def uninformed_strategy(p: ModelParams, t, y_hat_t):
 
 # --- value functions ---
 
-def _exponent(p: ModelParams, x_t, charge, a_t, y_t, *terms):
-    """-gamma (x - charge) + a_t (mu + y)**2 + terms[0] + terms[1] ..., left to right.
+def _utility(p: ModelParams, x_t, charge, a_t, y_t, *terms):
+    """-exp{-gamma (x - charge) + a_t (mu + y)**2 + terms[0] + ...}; None charges nothing.
 
-    ``charge`` None leaves x as it is.  Over 0-d operands this is the plain
-    numpy-scalar expression, whose ``** 2`` is pow() (see
-    ``verify_oracles._square``).  Otherwise the sum is formed in one owned
-    array of the broadcast shape, plus one for a_t (mu + y)**2, by in-place
-    ufuncs: the plain expression's operations in its operand order, so the
-    same bits from two allocations instead of one per operation, and the
-    inputs are only read.
+    The exponent is summed left to right in one owned array of the broadcast
+    shape, plus one for the square, by in-place ufuncs in the plain
+    expression's operand order, giving its bits; -exp is then written over it.  A
+    0-d signal is squared by pow(), as numpy's scalar ``** 2`` is (see
+    ``verify_oracles._square``).  The inputs are only read; a 0-d result is a
+    numpy scalar.  Overflow (-inf, or -0.0 and nan for a huge signal) is quiet.
     """
     x = np.asarray(x_t, dtype=float)
     y = np.asarray(y_t, dtype=float)
     operands = (x, a_t, y, *terms) if charge is None else (x, charge, a_t, y, *terms)
-    shape = np.broadcast(*operands).shape
-    if not shape:
-        if charge is not None:
-            x = x - charge
-        out = -p.gamma * x + a_t * (p.mu + y) ** 2
-        for term in terms:
-            out = out + term
-        return out
-    out = np.empty(shape)
-    if charge is not None:
-        x = np.subtract(x, charge, out=out)
-    np.multiply(-p.gamma, x, out=out)
+    out = np.empty(np.broadcast(*operands).shape)
     sq = np.empty(np.broadcast(a_t, y).shape)
-    if y.ndim:
-        np.square(np.add(p.mu, y, out=sq), out=sq)  # an array's ** 2
-    else:
-        sq[...] = (p.mu + y) ** 2
-    np.add(out, np.multiply(a_t, sq, out=sq), out=out)
-    for term in terms:
-        np.add(out, term, out=out)
-    return out
-
-
-def _utility_of_owned(exponent):
-    """``utility_from_exponent`` of an exponent the caller owns: an array's
-    exp and negation are written over it."""
-    if not isinstance(exponent, np.ndarray):
-        return utility_from_exponent(exponent)
-    with np.errstate(over="ignore"):
-        np.exp(exponent, out=exponent)
-    return np.negative(exponent, out=exponent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if charge is not None:
+            x = np.subtract(x, charge, out=out)
+        np.multiply(-p.gamma, x, out=out)
+        if y.ndim:
+            np.square(np.add(p.mu, y, out=sq), out=sq)  # an array's ** 2
+        else:
+            sq[...] = (p.mu + y) ** 2
+        np.add(out, np.multiply(a_t, sq, out=sq), out=out)
+        for term in terms:
+            np.add(out, term, out=out)
+        np.exp(out, out=out)
+    return np.negative(out, out=out)[()]
 
 
 def _value(p: ModelParams, coeff_a, coeff_b, t, x_t, y_t, charge=None):
     """-exp{-gamma (x - charge) + A(t)(mu+y)^2 + B(t)} for the coefficient functions A and B."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge signal gives -0.0 or nan
-        exponent = _exponent(p, x_t, charge, coeff_a(p, t), y_t, coeff_b(p, t))
-    return _utility_of_owned(exponent)
+    t = p.check_time(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # extreme parameters give inf or nan
+        a_t, b_t = coeff_a(p, t), coeff_b(p, t)
+    return _utility(p, x_t, charge, a_t, y_t, b_t)
 
 
 def value_informed(p: ModelParams, t, x_t, y_t, charge: float = 0.0):

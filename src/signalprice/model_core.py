@@ -3,6 +3,7 @@
 Every type here is immutable.  ``ModelParams`` and ``InformationMode`` check
 their domain when built (``dataclasses.replace`` included), so every other
 module takes them as valid and never re-checks or mutates them.
+``ModelParams.check_time`` holds a value function's time t to [0, T].
 ``write_csv`` is the one CSV writer of the package.
 """
 
@@ -48,6 +49,20 @@ class ModelParams:
 
     def __post_init__(self):
         validate(self)
+
+    def check_time(self, t):
+        """``t`` as a float array once every time in it lies in [0, t_end];
+        otherwise a DomainError naming the first one outside (nan included)."""
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:  # on one time, float comparisons cost a fifth of numpy's
+            inside = 0.0 <= float(t) <= self.t_end
+        else:  # a nan fails both
+            inside = t.size == 0 or (0.0 <= np.min(t) and np.max(t) <= self.t_end)
+        if not inside:
+            bad = t[~((t >= 0.0) & (t <= self.t_end))].flat[0]
+            raise DomainError(f"t must be in [0, t_end] = [0.0, {self.t_end!r}], "
+                              f"got {float(bad)!r}")
+        return t
 
 
 def validate(params: ModelParams) -> ModelParams:

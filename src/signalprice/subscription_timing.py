@@ -20,7 +20,10 @@ and sampled integrals.
 Value functions: ``value_prepurchase`` is the conditional value of buying
 right now and trading informed to the horizon; ``value_committed`` fixes the
 purchase at t*; ``value_flexible`` adds the option to wait, and exceeds
-``value_prepurchase`` by the factor exp(gamma * (F(tau_l) - F(t))).
+``value_prepurchase`` by the factor exp(gamma * (F(tau_l) - F(t))).  Each
+adds any profile discount to the exponent of buying at t before
+``closed_form._utility`` applies -exp.  t must lie in [0, T]; t* snaps to the
+nearest grid point, as in the engine.
 """
 
 from __future__ import annotations
@@ -30,16 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import (
-    _exponent,
-    _utility_of_owned,
-    coeff_a_uninformed,
-    continuous_price,
-    log_cosh,
-    noise_ratio,
-    rate_bound,
-    utility_from_exponent,
-)
+from .closed_form import (_utility, coeff_a_uninformed, continuous_price, log_cosh,
+                          noise_ratio, rate_bound)
 from .model_core import DomainError, ModelParams, TimeGrid, write_csv
 
 
@@ -243,15 +238,14 @@ def earliest_time(
     )
 
 
-def _prepurchase_exponent(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedule):
-    """The exponent of ``value_prepurchase``, owned by the caller when an array."""
+def _bought_at(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedule, *terms):
+    """``value_prepurchase`` with ``terms`` added to its exponent."""
     a = noise_ratio(p)
-    t = np.asarray(t, dtype=float)
     remaining_cost = schedule.integral(t, p.t_end)
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge signal gives -0.0 or nan
-        return _exponent(p, x_t, None, coeff_a_uninformed(p, t), y_hat_t,
-                         p.gamma * remaining_cost,
-                         0.5 * (log_cosh(a * t) - log_cosh(a * p.t_end)))
+    with np.errstate(over="ignore", invalid="ignore"):  # extreme parameters give inf or nan
+        a_t, cost = coeff_a_uninformed(p, t), p.gamma * remaining_cost
+        log_ratio = 0.5 * (log_cosh(a * t) - log_cosh(a * p.t_end))
+    return _utility(p, x_t, None, a_t, y_hat_t, cost, log_ratio, *terms)
 
 
 def value_prepurchase(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedule):
@@ -260,8 +254,9 @@ def value_prepurchase(p: ModelParams, t, x_t, y_hat_t, schedule: RateSchedule):
     This is the filtered-information expectation of the informed value,
     including the remaining subscription cost int_t^T c.
     """
-    schedule.require_cover(float(np.min(np.asarray(t))), p.t_end)
-    return _utility_of_owned(_prepurchase_exponent(p, t, x_t, y_hat_t, schedule))
+    t = p.check_time(t)
+    schedule.require_cover(float(np.min(t)), p.t_end)
+    return _bought_at(p, t, x_t, y_hat_t, schedule)
 
 
 def value_committed(
@@ -280,8 +275,7 @@ def value_committed(
     k_star = grid.index_of(t_star)
     schedule.require_cover(grid.t[k_star], grid.t_end)
     f_star = profile(p, schedule, grid)[k_star]
-    pre0 = _prepurchase_exponent(p, 0.0, p.x0, p.y0, schedule)
-    return float(utility_from_exponent(pre0 - p.gamma * f_star))
+    return float(_bought_at(p, 0.0, p.x0, p.y0, schedule, -p.gamma * f_star))
 
 
 def value_flexible(
@@ -298,18 +292,13 @@ def value_flexible(
     and matches it exactly where immediate purchase is optimal.  tau_l is
     that of ``earliest_time`` at its default tolerance.
     """
-    t = np.asarray(t, dtype=float)
+    t = p.check_time(t)
     F, k_l, _ = _solve(p, schedule, grid, TOL)
     tau_l = grid.t[k_l]
     if np.any(t > tau_l + 1e-12 * max(1.0, grid.t_end)):
         raise DomainError(f"t beyond the latest purchase time {float(tau_l)!r}")
     gap = F[k_l] - np.interp(t, grid.t, F)
-    exponent = _prepurchase_exponent(p, t, x_t, y_hat_t, schedule)
-    if isinstance(exponent, np.ndarray):
-        np.subtract(exponent, p.gamma * gap, out=exponent)
-    else:
-        exponent = exponent - p.gamma * gap
-    return _utility_of_owned(exponent)
+    return _bought_at(p, t, x_t, y_hat_t, schedule, -p.gamma * gap)
 
 
 def indifference_schedule(p: ModelParams, grid: TimeGrid) -> RateSchedule:

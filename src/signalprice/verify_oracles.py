@@ -11,7 +11,9 @@ implementation under test:
   none of the stabilized forms the closed forms use), on a grid doubled until
   RK4's own error estimate resolves the tolerance;
 * value functions: seeded Monte-Carlo means with 3-standard-error bands and
-  a constant-mean-over-time martingale check at horizon quartiles;
+  a constant-mean-over-time martingale check at horizon quartiles; a mode
+  whose closed-form utility underflows, or whose Monte-Carlo mean or standard
+  error is not finite, fails both checks as unresolved;
 * lump price: the charge at which the informed and uninformed Monte-Carlo
   utilities match, a log ratio of their means under common random numbers;
 * price-filtration kernel: residual of the Volterra integral identity under
@@ -375,10 +377,15 @@ def mc_reports(p: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> list[
     reports = []
     for label, plain, signal, value in modes:
         closed0 = float(value(0.0, p.x0, p.y0))
-        # a subnormal or zero utility leaves the means nothing to resolve
-        resolved = bool(abs(closed0) >= np.finfo(float).tiny)
-        unresolved = "" if resolved else "unresolved: the closed-form utility at t=0 underflows; "
         est = plain.estimate()
+        # a subnormal or zero utility leaves the means nothing to resolve, and
+        # so does a mean or standard error past the float range
+        unresolved = ""
+        if abs(closed0) < np.finfo(float).tiny:
+            unresolved = "unresolved: the closed-form utility at t=0 underflows; "
+        elif not (math.isfinite(est.mean) and math.isfinite(est.std_err)):
+            unresolved = "unresolved: the terminal MC utility's mean or std err is not finite; "
+        resolved = not unresolved
         detail = (
             f"{unresolved}terminal MC utility vs closed form at t=0 ({label}); tolerance = "
             f"3 std errs (abs {3.0 * est.std_err:.3e}), n_paths={n_paths}, seed={seed}"

@@ -891,9 +891,16 @@ class TestNumericalRange:
         for label in ("uninformed", "informed"):
             assert reports[f"mc_value_{label}"]["tolerance"] is None
             assert reports[f"mc_martingale_{label}"]["observed"] is None
-            assert not reports[f"mc_value_{label}"]["passed"]
-            assert not reports[f"mc_martingale_{label}"]["passed"]
+            for kind in ("value", "martingale"):
+                r = reports[f"mc_{kind}_{label}"]
+                assert not r["passed"], r["name"]
+                assert r["detail"].startswith(
+                    "unresolved: the terminal MC utility's mean or std err is not finite; "
+                ), r["name"]
         assert reports["mc_indifference_price"]["passed"]
+        assert [n for n, r in reports.items() if not r["passed"]] == [
+            f"mc_{kind}_{label}" for label in ("uninformed", "informed")
+            for kind in ("value", "martingale")]
 
     @pytest.mark.parametrize("x0", [7100, 7500])
     def test_underflowing_checks_fail_as_unresolved(self, capsys, tmp_path, x0):

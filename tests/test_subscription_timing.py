@@ -252,6 +252,54 @@ class TestTimingSolver:
             st.bumped_schedule(params, grid, 0.0, 0.8, 1.0, 1.0)
 
 
+_TIMED_VALUES = {  # name: value function of (p, t, schedule, grid)
+    "informed": lambda p, t, sched, grid: cf.value_informed(p, t, 0.0, 0.0),
+    "uninformed": lambda p, t, sched, grid: cf.value_uninformed(p, t, 0.0, 0.0),
+    "prepurchase": lambda p, t, sched, grid: st.value_prepurchase(p, t, 0.0, 0.0, sched),
+    "committed": lambda p, t, sched, grid: st.value_committed(p, t, sched, grid),
+    "flexible": lambda p, t, sched, grid: st.value_flexible(p, t, 0.0, 0.0, sched, grid),
+}
+
+
+class TestTimeDomain:
+    """Every value function takes its time in [0, T] only, and names a time
+    outside it (nan included) before any coefficient is formed.  The committed
+    value's purchase time snaps to the grid, as the engine's does, so the grid
+    names its off-grid times."""
+
+    @pytest.mark.parametrize("where", ["before_start", "past_horizon", "nan"])
+    @pytest.mark.parametrize("name", sorted(_TIMED_VALUES))
+    def test_time_outside_the_horizon_is_a_domain_error(self, params, coarse_grid,
+                                                        schedules, name, where):
+        dt = coarse_grid.dt
+        t = {"before_start": -dt, "past_horizon": params.t_end + dt, "nan": math.nan}[where]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                _TIMED_VALUES[name](params, t, schedules["bump"], coarse_grid)
+        assert type(info.value) is DomainError
+        assert str(info.value) == (f"time {t!r} is off the grid [0.0, 1.0]" if name == "committed"
+                                   else f"t must be in [0, t_end] = [0.0, 1.0], got {t!r}")
+
+    @pytest.mark.parametrize("name", ["informed", "uninformed", "prepurchase", "flexible"])
+    def test_names_the_first_time_outside(self, params, coarse_grid, schedules, name):
+        value = _TIMED_VALUES[name]
+        for t, bad in (([0.0, 0.1, math.nan, -0.5], "nan"), ([0.2, -0.5, math.nan], "-0.5")):
+            with pytest.raises(DomainError, match=f"got {bad}$"):
+                value(params, np.array(t), schedules["bump"], coarse_grid)
+
+    @pytest.mark.parametrize("name", sorted(_TIMED_VALUES))
+    def test_horizon_ends_are_inside(self, params, coarse_grid, name):
+        # at the flat c_bar rate tau_l = T/2, so value_flexible is defined at 0 only
+        value = _TIMED_VALUES[name]
+        flat = RateSchedule.constant(cf.continuous_price(params).c_bar, 1.0)
+        ends = (0.0,) if name == "flexible" else (0.0, params.t_end)
+        for t in ends:
+            assert math.isfinite(value(params, t, flat, coarse_grid))
+        if name != "committed":
+            assert np.all(np.isfinite(value(params, np.array(ends), flat, coarse_grid)))
+
+
 class TestPrepurchaseValue:
     def test_terminal_value(self, params, schedules):
         for sched in schedules.values():
